@@ -174,10 +174,10 @@ main()
     // proposed to the store the fleet predictor consults.
     ChunkProfiler::Options profOpt;
     profOpt.maxHardBranches = cfg.profile.maxHardBranches;
-    profOpt.statsWarmupRecords = window / 2; // per shard
-    ShardedProfiler shards(
-        cfg.whisper, 2, [&] { return makeTage(cfg.tageBudgetKB); },
-        profOpt);
+    profOpt.statsWarmupRecords = window / 2;
+    ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
+                           profOpt);
+    BranchProfile accumulated(cfg.whisper);
     TrainingPool pool(4);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
     HintInjector injector(cfg.injector);
@@ -201,38 +201,29 @@ main()
         return runPredictor(src, *pred);
     };
 
-    uint64_t absorbed = 0;
     auto onEpoch = [&](uint64_t nextEpoch) -> BranchPredictor * {
         size_t from = (nextEpoch - 1) * window;
         size_t to = std::min<size_t>(stream.size(), from + window);
         std::vector<BranchRecord> finished(stream.begin() + from,
                                            stream.begin() + to);
 
-        if (nextEpoch % trainEveryEpochs == 0) {
-            shards.drain();
-            BranchProfile profile = shards.aggregate();
-            if (profile.numBranches() > 0) {
-                HintBundle candidate;
-                candidate.hints = pool.train(trainer, profile);
-                ChunkSource placeSrc(finished);
-                candidate.placements =
-                    injector.place(placeSrc, candidate.hints);
+        if (nextEpoch % trainEveryEpochs == 0 &&
+            accumulated.numBranches() > 0) {
+            HintBundle candidate;
+            candidate.hints = pool.train(trainer, accumulated);
+            ChunkSource placeSrc(finished);
+            candidate.placements =
+                injector.place(placeSrc, candidate.hints);
 
-                HintStore::Snapshot incumbent = store.current();
-                auto incStats = evalWindow(
-                    finished,
-                    incumbent ? &incumbent->bundle : nullptr);
-                auto candStats = evalWindow(finished, &candidate);
-                store.propose(std::move(candidate),
-                              candStats.accuracy(),
-                              incStats.accuracy());
-            }
+            HintStore::Snapshot incumbent = store.current();
+            auto incStats = evalWindow(
+                finished, incumbent ? &incumbent->bundle : nullptr);
+            auto candStats = evalWindow(finished, &candidate);
+            store.propose(std::move(candidate), candStats.accuracy(),
+                          incStats.accuracy());
         }
 
-        TraceChunk chunk;
-        chunk.sequence = absorbed++;
-        chunk.records = std::move(finished);
-        shards.submit(std::move(chunk));
+        accumulated.mergeFrom(profiler.profileChunk(finished));
         return consultant.refresh(nextEpoch);
     };
 

@@ -5,7 +5,7 @@
  * acceptance, and the per-epoch validation-MPKI movement of the
  * deployed configuration.
  *
- * A multi-tenant service additionally reports one metrics row per
+ * The service also reports one metrics row per
  * application (ingested/dropped chunks, epochs, train latency,
  * deployment state) plus an aggregate roll-up — the `tenants` map
  * below, rendered by dump(). Every cell of every table is rendered
@@ -37,9 +37,9 @@ struct TenantMetrics
     // -- ingest / routing --
     uint64_t chunksRouted = 0;
     uint64_t recordsRouted = 0;
-    uint64_t chunksDropped = 0;    //!< maxQueuedChunks quota breaches
+    uint64_t chunksDropped = 0;    //!< offer() on a full queue
     uint64_t recordsDropped = 0;
-    uint64_t trainJobsDropped = 0; //!< maxPendingTrainJobs breaches
+    uint64_t trainJobsDropped = 0; //!< refused by a closed scheduler
 
     // -- training --
     uint64_t epochsRun = 0;
@@ -122,8 +122,7 @@ struct ServiceMetrics
     uint64_t tenantsRegistered = 0;
     /** Chunks whose app matched no registered tenant (dropped). */
     uint64_t unknownAppChunks = 0;
-    /** Per-application metrics, keyed by app name. Empty in
-     * single-tenant runs. */
+    /** Per-application metrics, keyed by app name. */
     std::map<std::string, TenantMetrics> tenants;
 
     /** Render the aggregate table plus (when tenants exist) the
@@ -204,9 +203,6 @@ struct ServiceMetrics
         if (!tenants.empty())
             dumpTenants(os);
     }
-
-    /** Back-compat alias for dump(). */
-    void report(std::ostream &os) const { dump(os); }
 
   private:
     void

@@ -10,7 +10,7 @@
  * structure is app-specific, so mixing tenants would corrupt every
  * profile involved. Each Tenant here is a full per-app pipeline:
  *
- *   bounded chunk queue (quota: maxQueuedChunks, drop-and-count)
+ *   bounded chunk queue (quota: maxQueuedChunks)
  *     -> streaming ChunkProfiler + accumulated BranchProfile
  *     -> epoch train jobs (quota: maxPendingTrainJobs)
  *     -> RCU-style versioned HintStore, independently deployable
@@ -49,13 +49,14 @@ namespace whisper
 struct TenantQuota
 {
     /** Chunks buffered between the router and this tenant's
-     * absorber; a full queue drops the chunk (and counts it) instead
-     * of letting one tenant's backlog block the shared ingest path. */
+     * absorber. When the queue is full, directory ingest waits, the
+     * wire server answers RETRY_AFTER, and TenantRouter::offer()
+     * drops the chunk and counts it. */
     size_t maxQueuedChunks = 16;
-    /** Training epochs queued in the fair-share scheduler; a breach
-     * drops the job (the absorbed chunks stay in the profile, so the
-     * next epoch trains on strictly more data — nothing is lost, the
-     * tenant just trains less often under pressure). */
+    /** Training epochs queued in the fair-share scheduler. At the
+     * cap the tenant's absorber waits for a free slot, so its chunk
+     * queue fills and ingest sees backpressure; no epoch is
+     * skipped. */
     size_t maxPendingTrainJobs = 4;
     /** Concurrent training jobs for this tenant. Keep at 1 for
      * deterministic per-tenant epoch ordering (the isolation
@@ -119,9 +120,9 @@ class Tenant
     {
         uint64_t chunksRouted = 0;
         uint64_t recordsRouted = 0;
-        uint64_t chunksDropped = 0;  //!< maxQueuedChunks breaches
+        uint64_t chunksDropped = 0;  //!< offer() on a full queue
         uint64_t recordsDropped = 0;
-        uint64_t trainJobsDropped = 0; //!< maxPendingTrainJobs breaches
+        uint64_t trainJobsDropped = 0; //!< refused by a closed scheduler
         uint64_t epochsRun = 0;
         RunningStat trainLatency;
         RunningStat hintsPerEpoch;

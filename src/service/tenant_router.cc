@@ -50,6 +50,18 @@ FairShareScheduler::submit(TrainJob job)
     return true;
 }
 
+void
+FairShareScheduler::waitForSlot(Tenant *tenant)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    Entry *e = entryFor(tenant);
+    whisper_assert(e != nullptr,
+                   "tenant waited before scheduler add()");
+    size_t cap = std::max<size_t>(1, tenant->quota.maxPendingTrainJobs);
+    slotFree_.wait(lock,
+                   [&] { return closed_ || e->jobs.size() < cap; });
+}
+
 bool
 FairShareScheduler::next(TrainJob &out)
 {
@@ -75,6 +87,7 @@ FairShareScheduler::next(TrainJob &out)
                     out = std::move(e.jobs.front());
                     e.jobs.pop_front();
                     ++e.inFlight;
+                    slotFree_.notify_all();
                     if (e.deficit < 1.0 || e.jobs.empty()) {
                         // Visit exhausted; an emptied queue forfeits
                         // leftover credit (no hoarding while idle).
@@ -115,6 +128,7 @@ FairShareScheduler::close()
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
     ready_.notify_all();
+    slotFree_.notify_all();
 }
 
 size_t
@@ -177,34 +191,8 @@ TenantRouter::start()
             [this, i] { dispatcherLoop(i); });
 }
 
-bool
-TenantRouter::offer(TraceChunk chunk)
-{
-    Tenant *tenant = registry_.find(chunk.app);
-    if (!tenant) {
-        if (!cfg_.autoRegister) {
-            ++unknownAppChunks_;
-            return false;
-        }
-        tenant = addTenant(chunk.app);
-    }
-    size_t records = chunk.records.size();
-    if (!tenant->queue.tryPush(std::move(chunk))) {
-        tenant->withCounters([&](Tenant::Counters &c) {
-            ++c.chunksDropped;
-            c.recordsDropped += records;
-        });
-        return false;
-    }
-    tenant->withCounters([&](Tenant::Counters &c) {
-        ++c.chunksRouted;
-        c.recordsRouted += records;
-    });
-    return true;
-}
-
 TenantRouter::OfferOutcome
-TenantRouter::tryOffer(TraceChunk chunk)
+TenantRouter::route(TraceChunk chunk, WhenFull whenFull)
 {
     Tenant *tenant = registry_.find(chunk.app);
     if (!tenant) {
@@ -215,9 +203,16 @@ TenantRouter::tryOffer(TraceChunk chunk)
         tenant = addTenant(chunk.app);
     }
     size_t records = chunk.records.size();
-    if (!tenant->queue.tryPush(std::move(chunk))) {
-        // Not a drop: the caller reports backpressure and the client
-        // retransmits, so no counter moves here.
+    bool queued = whenFull == WhenFull::Wait
+                      ? tenant->queue.push(std::move(chunk))
+                      : tenant->queue.tryPush(std::move(chunk));
+    if (!queued) {
+        if (whenFull != WhenFull::Refuse) {
+            tenant->withCounters([&](Tenant::Counters &c) {
+                ++c.chunksDropped;
+                c.recordsDropped += records;
+            });
+        }
         return OfferOutcome::Backpressure;
     }
     tenant->withCounters([&](Tenant::Counters &c) {
@@ -225,6 +220,19 @@ TenantRouter::tryOffer(TraceChunk chunk)
         c.recordsRouted += records;
     });
     return OfferOutcome::Accepted;
+}
+
+bool
+TenantRouter::offer(TraceChunk chunk)
+{
+    return route(std::move(chunk), WhenFull::Drop) ==
+           OfferOutcome::Accepted;
+}
+
+TenantRouter::OfferOutcome
+TenantRouter::tryOffer(TraceChunk chunk)
+{
+    return route(std::move(chunk), WhenFull::Refuse);
 }
 
 void
@@ -239,7 +247,7 @@ TenantRouter::runFromQueue(BoundedQueue<TraceChunk> &queue)
     while (queue.pop(chunk)) {
         recordsIngested_ += chunk.records.size();
         ++chunksIngested_;
-        offer(std::move(chunk));
+        route(std::move(chunk), WhenFull::Wait);
         double elapsed =
             std::chrono::duration<double>(clock::now() - runStart)
                 .count();
@@ -311,8 +319,7 @@ void
 TenantRouter::absorb(Tenant &tenant, TraceChunk chunk)
 {
     // The previous validation window becomes training data now that
-    // a newer one exists to validate on (same holdout discipline as
-    // the single-tenant service).
+    // a newer one exists to validate on.
     if (tenant.validationChunk) {
         TraceChunk prev = std::move(*tenant.validationChunk);
         tenant.validationChunk.reset();
@@ -339,10 +346,12 @@ TenantRouter::enqueueEpochJob(Tenant &tenant)
     job.profile = tenant.accumulated;
     job.validation = tenant.validationChunk->records;
     job.placement = tenant.placementWindow;
+    // A tenant at its pending-job quota holds its absorber here: the
+    // chunk queue behind it fills and ingest sees backpressure, but
+    // no epoch is skipped, so the bundle history stays a function of
+    // the chunk sequence alone. Only a closed scheduler refuses.
+    scheduler_.waitForSlot(&tenant);
     if (!scheduler_.submit(std::move(job))) {
-        // Quota breach: the epoch is skipped, not lost — absorbed
-        // chunks stay in the accumulated profile, so the tenant's
-        // next job trains on strictly more data.
         tenant.withCounters(
             [](Tenant::Counters &c) { ++c.trainJobsDropped; });
     }
@@ -425,10 +434,10 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
     PredictorRunStats candidateStats =
         evalOnRecords(job.validation, &candidate);
 
-    // Warm-start safety valve (same contract as Whisperd): a warm
-    // candidate that is worse than the incumbent on the holdout —
-    // stale formulas pinning the search — forces a cold retrain of
-    // this epoch.
+    // Warm-start safety valve: a warm candidate that is worse than
+    // the incumbent on the holdout (not merely short of beating it)
+    // means stale formulas pinned the search, so the epoch is
+    // retrained cold.
     uint64_t warmFallback = 0;
     if (warmSeeds && stats.warmHits > 0 &&
         candidateStats.accuracy() + cfg_.warmFallbackMargin <
@@ -441,6 +450,7 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
         placeCandidate(coldCandidate);
         candidate = std::move(coldCandidate);
         candidateStats = evalOnRecords(job.validation, &candidate);
+        // The epoch paid both searches; report the combined cost.
         stats.formulasScored += coldStats.formulasScored;
         stats.branchSecondsSum += coldStats.branchSecondsSum;
         stats.branchSecondsMax = std::max(stats.branchSecondsMax,

@@ -7,13 +7,14 @@
  *
  *   ingest queue (chunks tagged with their app name)
  *        │ router thread: lookup tenant, enforce maxQueuedChunks
- *        ▼ (tryPush; full queue = drop-and-count, never block)
+ *        ▼ (full queue: directory ingest waits for room, the wire
+ *        │  server answers RETRY_AFTER, offer() drops and counts)
  *   per-tenant chunk queue ──▶ per-tenant absorber thread:
  *        ChunkProfiler + validation-window holdout; every
  *        epochChunks boundary snapshots (profile, validation,
  *        placement) into a TrainJob
- *        │ FairShareScheduler::submit (maxPendingTrainJobs quota)
- *        ▼
+ *        │ FairShareScheduler::submit (the absorber waits while
+ *        ▼ the tenant has maxPendingTrainJobs jobs queued)
  *   FairShareScheduler: deficit-round-robin across tenants with
  *        pending jobs, weight W = W jobs per round, per-tenant
  *        in-flight cap (1 by default, preserving per-tenant FIFO)
@@ -57,8 +58,8 @@
 namespace whisper
 {
 
-/** Multi-tenant service configuration (the per-app analog of
- * WhisperdConfig; one of these covers every tenant). */
+/** Service configuration; one of these covers every tenant, and a
+ * single-app run is simply a router with one tenant. */
 struct TenantRouterConfig
 {
     size_t chunkRecords = 50'000;  //!< ingest chunk granularity
@@ -108,9 +109,10 @@ struct TenantRouterConfig
  * idle tenant cannot hoard credit and then monopolize the pool.
  * A tenant at its in-flight cap is skipped (its jobs stay queued)
  * until done() frees a slot, which keeps per-tenant execution FIFO
- * when the cap is 1. submit() never blocks: a tenant already at
- * maxPendingTrainJobs has the job rejected (drop-and-count at the
- * caller) so a stalled training pool cannot wedge the absorbers.
+ * when the cap is 1. submit() itself never blocks and rejects a job
+ * beyond maxPendingTrainJobs; the router's absorbers call
+ * waitForSlot() first, so under training pressure a tenant trains
+ * every epoch late instead of skipping any.
  */
 class FairShareScheduler
 {
@@ -121,6 +123,10 @@ class FairShareScheduler
     /** Queue @p job for its tenant. @return false when the tenant is
      * at maxPendingTrainJobs (job dropped; caller counts it). */
     bool submit(TrainJob job);
+
+    /** Block until @p tenant has fewer than maxPendingTrainJobs jobs
+     * queued, or the scheduler is closed. */
+    void waitForSlot(Tenant *tenant);
 
     /** Block for the next job in deficit-round-robin order.
      * @return false once the scheduler is closed and drained. */
@@ -150,6 +156,7 @@ class FairShareScheduler
 
     mutable std::mutex mutex_;
     std::condition_variable ready_;
+    std::condition_variable slotFree_;
     std::vector<std::unique_ptr<Entry>> ring_;
     size_t cursor_ = 0;
     bool closed_ = false;
@@ -174,7 +181,8 @@ class TenantRouter
     /**
      * Route one chunk to its tenant (quota-checked, never blocks).
      * @return false when the chunk was dropped: unknown app (unless
-     * autoRegister) or the tenant's queue was full.
+     * autoRegister) or the tenant's queue was full (counted in
+     * chunksDropped).
      */
     bool offer(TraceChunk chunk);
 
@@ -197,12 +205,14 @@ class TenantRouter
     OfferOutcome tryOffer(TraceChunk chunk);
 
     /** Consume an externally produced chunk stream: start(), route
-     * every chunk, then finish(). The queue must be closed by its
+     * every chunk, then finish(). A full tenant queue blocks the
+     * stream rather than dropping a chunk, since a producer reading
+     * files can always wait. The queue must be closed by its
      * producers for this to return. */
     void runFromQueue(BoundedQueue<TraceChunk> &queue);
 
-    /** Stream a directory of .whrt chunk files (ingest thread +
-     * runFromQueue), as Whisperd::run does for one tenant. */
+    /** Stream a directory of .whrt chunk files, in name order, through
+     * one ingest thread and runFromQueue. */
     void run(const std::string &chunkDir);
 
     /**
@@ -221,6 +231,15 @@ class TenantRouter
     ServiceMetrics metrics() const;
 
   private:
+    /** What route() does with a chunk whose tenant queue is full. */
+    enum class WhenFull
+    {
+        Drop,   //!< offer(): count it in chunksDropped
+        Refuse, //!< tryOffer(): the caller retransmits later
+        Wait,   //!< runFromQueue(): block until the absorber frees room
+    };
+    OfferOutcome route(TraceChunk chunk, WhenFull whenFull);
+
     void absorberLoop(Tenant &tenant);
     void dispatcherLoop(unsigned dispatcherIndex);
     void absorb(Tenant &tenant, TraceChunk chunk);

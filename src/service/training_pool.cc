@@ -96,10 +96,17 @@ TrainingPool::train(const WhisperTrainer &trainer,
     std::vector<BranchTrainOutcome> outcomes(work.size());
     std::vector<Task> tasks(work.size());
 
+    unsigned spawned = static_cast<unsigned>(std::min<size_t>(
+        options_.workers, work.size() ? work.size() : 1));
+
+    // Worker w's first task is task w; only the rest go through the
+    // shared queue. Every worker therefore claims at least one task
+    // whatever order its thread starts in, which is what makes the
+    // per-worker faults (stall-worker, kill-worker) fire every run.
     std::mutex mtx;
     std::condition_variable cv;
     std::deque<size_t> ready;
-    for (size_t i = 0; i < work.size(); ++i)
+    for (size_t i = spawned; i < work.size(); ++i)
         ready.push_back(i);
     std::atomic<size_t> unresolved{work.size()};
     std::atomic<unsigned> aliveWorkers{0};
@@ -145,9 +152,12 @@ TrainingPool::train(const WhisperTrainer &trainer,
     };
 
     auto runWorker = [&](unsigned workerId) {
+        bool ownTask = workerId < work.size();
         for (;;) {
-            size_t i;
-            {
+            size_t i = workerId;
+            if (ownTask) {
+                ownTask = false;
+            } else {
                 std::unique_lock<std::mutex> lock(mtx);
                 cv.wait(lock, [&] {
                     return !ready.empty() ||
@@ -242,8 +252,6 @@ TrainingPool::train(const WhisperTrainer &trainer,
         cv.notify_all();
     };
 
-    unsigned spawned = static_cast<unsigned>(std::min<size_t>(
-        options_.workers, work.size() ? work.size() : 1));
     aliveWorkers.store(spawned, std::memory_order_relaxed);
 
     std::thread supervisorThread;

@@ -6,12 +6,13 @@
  * branch's history-length scan and randomized formula testing touch
  * only that branch's sample tables plus the shared read-only truth
  * table cache. The pool distributes the hard-branch list over N
- * worker threads through a shared ready-queue (work stealing:
- * whichever worker finishes first grabs the next branch, so skewed
- * per-branch costs balance automatically) and writes each result
- * into a per-branch slot. Because branches are assembled back in
- * list order — and trainBranch is deterministic — the emitted bundle
- * is bit-identical for any worker count: N=4 must equal N=1.
+ * worker threads: worker w starts on branch w, and the rest go
+ * through a shared ready-queue (work stealing: whichever worker
+ * finishes first grabs the next branch, so skewed per-branch costs
+ * balance automatically). Each result is written into a
+ * per-branch slot. Because branches are assembled back in list
+ * order — and trainBranch is deterministic — the emitted bundle is
+ * bit-identical for any worker count: N=4 must equal N=1.
  *
  * A long-running service also has to survive its own workers. With a
  * task deadline configured, a supervisor thread watches per-task

@@ -59,7 +59,12 @@ class MonotonicArena
         for (;;) {
             if (cur_ < blocks_.size()) {
                 Block &b = blocks_[cur_];
-                size_t at = (offset_ + align - 1) & ~(align - 1);
+                // Align the address, not the offset: new[] only
+                // guarantees the block base is max_align_t-aligned.
+                uintptr_t base =
+                    reinterpret_cast<uintptr_t>(b.data.get());
+                size_t at = ((base + offset_ + align - 1) & ~(align - 1)) -
+                            base;
                 if (at + bytes <= b.size) {
                     offset_ = at + bytes;
                     used_ += bytes;

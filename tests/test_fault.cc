@@ -18,9 +18,9 @@
 #include "service/fault_injection.hh"
 #include "service/hint_journal.hh"
 #include "service/hint_store.hh"
+#include "service/tenant_router.hh"
 #include "service/trace_stream.hh"
 #include "service/training_pool.hh"
-#include "service/whisperd.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/crc32.hh"
@@ -693,7 +693,8 @@ TEST_F(FaultTest, TransientTrainingFailureRetriesToSameResult)
 }
 
 // --------------------------------------------------------------------
-// Whisperd end to end: crash recovery and fault-injected runs
+// whisperd end to end (one-tenant router): crash recovery and
+// fault-injected runs
 // --------------------------------------------------------------------
 
 namespace
@@ -718,17 +719,16 @@ writeChunkDir(const fs::path &dir, uint64_t perFile, int files)
     }
 }
 
-WhisperdConfig
-demonConfig(const std::string &journal)
+TenantRouterConfig
+demonConfig(const fs::path &journalDir)
 {
-    WhisperdConfig cfg;
+    TenantRouterConfig cfg;
     cfg.chunkRecords = 12'000;
     cfg.epochChunks = 2;
     cfg.trainWorkers = 2;
-    cfg.profileShards = 2;
     cfg.profilePolicy.maxHardBranches = 32;
     cfg.verbose = false;
-    cfg.journalPath = journal;
+    cfg.journalDir = journalDir.string();
     cfg.trainTaskDeadlineMs = 5'000;
     // Deploy every epoch so the test sees a deterministic number of
     // journaled generations regardless of validation noise.
@@ -741,21 +741,25 @@ demonConfig(const std::string &journal)
 TEST_F(FaultTest, WhisperdResumesFromJournalAfterCrash)
 {
     fs::path dir = "/tmp/whisper_test_crash_dir";
-    std::string journal = "/tmp/whisper_test_crash.wal";
-    std::remove(journal.c_str());
+    fs::path journalDir = "/tmp/whisper_test_crash_journals";
+    std::string journal = (journalDir / "kafka.journal").string();
+    fs::remove_all(journalDir);
+    fs::create_directories(journalDir);
     writeChunkDir(dir, 30'000, 3);
 
     // First life: deploy at least two epochs, journaled.
     uint64_t firstEpoch = 0;
     VersionedHintBundle lastDeployed;
     {
-        Whisperd daemon(demonConfig(journal), globalTruthTables());
+        TenantRouter daemon(demonConfig(journalDir),
+                            globalTruthTables());
+        Tenant *kafka = daemon.addTenant("kafka");
         daemon.run(dir.string());
-        ASSERT_NE(daemon.store().current(), nullptr);
-        ASSERT_GE(daemon.store().epoch(), 2u)
+        ASSERT_NE(kafka->store.current(), nullptr);
+        ASSERT_GE(kafka->store.epoch(), 2u)
             << "need >=2 deployed epochs for the crash test";
-        firstEpoch = daemon.store().epoch();
-        lastDeployed = *daemon.store().current();
+        firstEpoch = kafka->store.epoch();
+        lastDeployed = *kafka->store.current();
         // No clean shutdown path is exercised: the daemon object is
         // simply destroyed, as after a crash (the journal is synced
         // per-append, so nothing depends on a destructor).
@@ -769,33 +773,37 @@ TEST_F(FaultTest, WhisperdResumesFromJournalAfterCrash)
     // Second life: must resume from the last *intact* epoch with a
     // bit-identical deployed bundle.
     {
-        Whisperd daemon(demonConfig(journal), globalTruthTables());
-        EXPECT_EQ(daemon.resumedEpoch(), firstEpoch - 1);
-        EXPECT_EQ(daemon.recoveredGenerations(), firstEpoch - 1);
-        ASSERT_NE(daemon.store().current(), nullptr);
+        TenantRouter daemon(demonConfig(journalDir),
+                            globalTruthTables());
+        Tenant *kafka = daemon.addTenant("kafka");
+        TenantMetrics resumed = kafka->metrics();
+        EXPECT_EQ(resumed.journalResumedEpoch, firstEpoch - 1);
+        EXPECT_EQ(resumed.journalRecoveredRecords, firstEpoch - 1);
+        ASSERT_NE(kafka->store.current(), nullptr);
 
         // Re-derive what the first life deployed at that epoch from
         // the journal itself (pre-truncation it held everything).
         std::vector<VersionedHintBundle> replayed =
             HintJournal::replay(journal);
         ASSERT_EQ(replayed.size(), firstEpoch - 1);
-        EXPECT_TRUE(*daemon.store().current() == replayed.back());
+        EXPECT_TRUE(*kafka->store.current() == replayed.back());
 
         // And it keeps operating: run more chunks, epochs continue
         // past the resumed number.
         daemon.run(dir.string());
-        EXPECT_GT(daemon.store().epoch(), firstEpoch - 1);
+        EXPECT_GT(kafka->store.epoch(), firstEpoch - 1);
     }
 
     fs::remove_all(dir);
-    std::remove(journal.c_str());
+    fs::remove_all(journalDir);
 }
 
 TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
 {
     fs::path dir = "/tmp/whisper_test_faulty_dir";
-    std::string journal = "/tmp/whisper_test_faulty.wal";
-    std::remove(journal.c_str());
+    fs::path journalDir = "/tmp/whisper_test_faulty_journals";
+    fs::remove_all(journalDir);
+    fs::create_directories(journalDir);
     writeChunkDir(dir, 30'000, 3);
 
     // The acceptance scenario: ~1% corrupt frames, one stalled
@@ -803,26 +811,27 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
     ASSERT_TRUE(FaultInjector::instance().configure(
         "flip-chunks=0.01,stall-worker=0:300,truncate-journal=1"));
 
-    WhisperdConfig cfg = demonConfig(journal);
+    TenantRouterConfig cfg = demonConfig(journalDir);
     cfg.trainTaskDeadlineMs = 100;
-    Whisperd daemon(cfg, globalTruthTables());
+    TenantRouter daemon(cfg, globalTruthTables());
+    Tenant *kafka = daemon.addTenant("kafka");
     daemon.run(dir.string());
 
-    const ServiceMetrics &m = daemon.metrics();
-    EXPECT_GE(daemon.epochsRun(), 1u);
+    ServiceMetrics m = daemon.metrics();
+    EXPECT_GE(m.epochsRun, 1u);
     EXPECT_GT(m.chunksSkipped, 0u);
     EXPECT_GT(m.recordsSkipped, 0u);
     // The torn write shows up and was repaired on the next append.
-    if (daemon.store().accepted() >= 2) {
+    if (kafka->store.accepted() >= 2) {
         EXPECT_GE(m.journalAppendFailures, 1u);
         EXPECT_GE(m.journalRepairs, 1u);
     }
     // The journal still replays to exactly the durable generations.
     std::vector<VersionedHintBundle> replayed =
-        HintJournal::replay(journal);
+        HintJournal::replay((journalDir / "kafka.journal").string());
     for (size_t i = 1; i < replayed.size(); ++i)
         EXPECT_GT(replayed[i].epoch, replayed[i - 1].epoch);
 
     fs::remove_all(dir);
-    std::remove(journal.c_str());
+    fs::remove_all(journalDir);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the multi-tenant whisperd subsystem: chunk routing,
- * per-tenant quota enforcement (drop-and-count, no deadlock),
+ * per-tenant quota enforcement (drop-and-count for offer(), lossless
+ * waiting for directory ingest and training backlog, no deadlock),
  * deficit-round-robin fair-share scheduling, the per-app isolation
  * guarantee (fleet bundles byte-identical to solo bundles), per-app
  * journal resume, fault-injection behavior, and the zero-filled
@@ -25,6 +26,7 @@
 #include "service/tenant_registry.hh"
 #include "service/tenant_router.hh"
 #include "sim/experiment.hh"
+#include "trace/branch_trace.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;
@@ -354,7 +356,7 @@ TEST(TenantRouting, QueueQuotaDropsAndCountsWithoutBlocking)
     EXPECT_EQ(m.tenants.at("kafka").recordsDropped, 1500u);
 }
 
-TEST(TenantRouting, TrainJobQuotaDropsAndCounts)
+TEST(TenantRouting, TrainJobQuotaWaitsInsteadOfDropping)
 {
     TenantRouterConfig cfg = smallConfig();
     cfg.epochChunks = 1; // every absorbed chunk is an epoch boundary
@@ -365,8 +367,9 @@ TEST(TenantRouting, TrainJobQuotaDropsAndCounts)
     router.addTenant("kafka", quota);
 
     // Queue many epoch-sized chunks before starting: the absorber
-    // will emit train jobs far faster than one dispatcher can drain
-    // them, so the pending-job quota must trip at least once.
+    // emits train jobs far faster than one dispatcher drains them,
+    // so it must wait at the pending-job quota instead of skipping
+    // epochs.
     auto chunks = appChunks("kafka", 2000, 12);
     for (auto &c : chunks)
         ASSERT_TRUE(router.offer(std::move(c)));
@@ -375,11 +378,58 @@ TEST(TenantRouting, TrainJobQuotaDropsAndCounts)
 
     ServiceMetrics m = router.metrics();
     const TenantMetrics &tm = m.tenants.at("kafka");
-    EXPECT_GE(tm.trainJobsDropped, 1u);
-    EXPECT_GE(tm.epochsRun, 1u);
-    // Dropped jobs skip training, never lose data: every epoch that
-    // did run trained on the full accumulated profile.
+    EXPECT_EQ(tm.trainJobsDropped, 0u);
     EXPECT_EQ(tm.chunksDropped, 0u);
+    // Every absorbed chunk (all but the held-out newest) trained.
+    EXPECT_EQ(tm.epochsRun, chunks.size() - 1);
+}
+
+TEST(TenantRouting, DirectoryIngestIsLosslessAndDeterministic)
+{
+    // A directory with more chunks than maxQueuedChunks and more
+    // epochs than maxPendingTrainJobs: the file reader outruns the
+    // absorber and the absorber outruns training, so both quotas
+    // bind. A file reader can always wait, so nothing may be lost.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("tenant_dir_ingest_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const uint64_t chunkRecords = 1500;
+    const unsigned chunks = 13;
+    BranchTrace trace("kafka", 0);
+    for (const BranchRecord &rec :
+         appRecords("kafka", 0, chunkRecords * chunks))
+        trace.append(rec);
+    ASSERT_TRUE(trace.save((dir / "000_kafka.whrt").string()));
+
+    TenantRouterConfig cfg = smallConfig();
+    cfg.chunkRecords = chunkRecords;
+    cfg.acceptMargin = -1.0; // deploy every epoch: bytes to compare
+    cfg.defaultQuota.maxQueuedChunks = 2;
+    cfg.defaultQuota.maxPendingTrainJobs = 1;
+    ASSERT_GT(chunks, cfg.defaultQuota.maxQueuedChunks);
+    ASSERT_GT((chunks - 1) / cfg.epochChunks,
+              cfg.defaultQuota.maxPendingTrainJobs);
+
+    auto runOnce = [&] {
+        TenantRouter router(cfg, globalTruthTables());
+        Tenant *kafka = router.addTenant("kafka");
+        router.run(dir.string());
+        TenantMetrics tm = kafka->metrics();
+        EXPECT_EQ(tm.chunksRouted, chunks);
+        EXPECT_EQ(tm.chunksDropped, 0u);
+        EXPECT_EQ(tm.trainJobsDropped, 0u);
+        EXPECT_EQ(tm.epochsRun, (chunks - 1) / cfg.epochChunks);
+        HintStore::Snapshot snap = kafka->store.current();
+        EXPECT_NE(snap, nullptr);
+        return snap ? encodeVersionedBundle(*snap)
+                    : std::vector<unsigned char>{};
+    };
+    std::vector<unsigned char> first = runOnce();
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, runOnce());
+    fs::remove_all(dir);
 }
 
 // --------------------------------------------------------------------

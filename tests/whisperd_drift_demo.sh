@@ -1,8 +1,8 @@
 #!/bin/sh
 # Drift scenario demo: a kafka stream whose request mix and branch
 # formulas rotate mid-stream (whisper_trace_gen --drift) feeds the
-# whisperd adaptive loop. Asserts the continuous-PGO contracts on a
-# drifting workload:
+# whisperd adaptive loop, run as a one-tenant service. Asserts the
+# continuous-PGO contracts on a drifting workload:
 #   1. whisperd trains across epochs and deploys validated bundles;
 #   2. the online bundle matches or beats both plain TAGE-SC-L and a
 #      static bundle trained on the pre-drift prefix;
@@ -15,7 +15,7 @@ set -e
 
 BIN_DIR="$1"
 WORK_DIR="${TMPDIR:-/tmp}/whisperd_drift_$$"
-mkdir -p "$WORK_DIR/chunks"
+mkdir -p "$WORK_DIR/chunks" "$WORK_DIR/journals" "$WORK_DIR/out"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
 DRIFT="phase:period=225000,phases=2,intensity=0.7,seed=11"
@@ -36,20 +36,20 @@ cp "$WORK_DIR/chunks/000_kafka_drift.whrt" "$WORK_DIR/eval.whrt"
     --out "$WORK_DIR/static.hints" > /dev/null
 
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online.vhints" \
-    --journal "$WORK_DIR/hints.journal" \
+    --tenants kafka --out-dir "$WORK_DIR/out" \
+    --journal-dir "$WORK_DIR/journals" \
     --chunk-records 45000 --epoch-chunks 2 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     --eval-trace "$WORK_DIR/eval.whrt" \
     --compare-hints "$WORK_DIR/static.hints" \
     > "$WORK_DIR/whisperd.txt" 2>&1
 cat "$WORK_DIR/whisperd.txt"
 
 # Contract 1: adaptation actually happened.
-EPOCHS=$(sed -n 's/^whisperd: epochs=\([0-9]*\).*/\1/p' \
+EPOCHS=$(sed -n 's/^whisperd\[kafka\]: epochs=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$EPOCHS" -ge 2 ]
-ACCEPTED=$(sed -n 's/.*accepted=\([0-9]*\).*/\1/p' \
+ACCEPTED=$(sed -n 's/^whisperd\[kafka\]: .* accepted=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$ACCEPTED" -ge 1 ]
 grep -q "deployed bundle (epoch" "$WORK_DIR/whisperd.txt"

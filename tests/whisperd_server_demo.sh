@@ -125,19 +125,20 @@ done
 
 # ---- leg 3: kill -9 mid-load, restart, WAL resume ------------------
 
+# One pending training job and a four-chunk queue per tenant: each
+# tenant's absorber waits for training, its queue fills, and the
+# server answers RETRY_AFTER. The load therefore cannot run far
+# ahead of training and is still in flight when deployments start
+# to be journaled, however fast the machine is.
 PORT=$((21000 + $$ % 20000))
+KILL_ARGS="--tenants auto --journal-dir $WORK_DIR/kill_journal \
+    --out-dir $WORK_DIR/kill_out --chunk-records 1000 --epoch-chunks 2 \
+    --quota-chunks 4 --quota-jobs 1 --max-hard 64"
 "$BIN_DIR/whisperd" --listen 127.0.0.1:$PORT \
-    --tenants auto \
-    --journal-dir "$WORK_DIR/kill_journal" \
-    --out-dir "$WORK_DIR/kill_out" \
-    --chunk-records 1000 --epoch-chunks 2 \
-    --quota-chunks 64 --quota-jobs 65536 --max-hard 64 \
+    --port-file "$WORK_DIR/kill_port1.txt" $KILL_ARGS \
     > "$WORK_DIR/kill_s1.txt" 2>&1 &
 SRV_PID=$!
-sleep 0.3
-kill -0 "$SRV_PID" || {
-    echo "FAIL: kill-leg server did not start (port $PORT taken?)"
-    exit 1; }
+wait_port_file "$WORK_DIR/kill_port1.txt"
 
 "$BIN_DIR/whisper_loadgen" --port $PORT \
     --agents "$KILL_AGENTS" --chunks-per-agent "$KILL_CHUNKS" \
@@ -147,30 +148,41 @@ kill -0 "$SRV_PID" || {
     > "$WORK_DIR/kill_lg.txt" 2>&1 &
 LG_PID=$!
 
-# Kill once at least one tenant has journaled a deployment, so the
-# restart has something to resume — adapts to TSan-speed machines.
+# Tenant journals holding a record past their 8-byte file header.
+journaled_tenants() {
+    n=0
+    for f in "$WORK_DIR"/kill_journal/*.journal; do
+        [ -f "$f" ] && [ "$(wc -c < "$f")" -gt 8 ] && n=$((n + 1))
+    done
+    echo "$n"
+}
+
+# Kill on progress, not on a timer: once two tenants have journaled
+# a deployment while the clients are still sending. Appends are
+# serialized on the one training dispatcher, so at most one record
+# can be torn by the kill and the restart always has an intact one
+# to resume.
 i=0
-while ! ls "$WORK_DIR/kill_journal" | grep -q journal; do
-    i=$((i + 1))
-    [ "$i" -le 300 ] || {
-        echo "FAIL: no deployment journaled before load ended"
+while [ "$(journaled_tenants)" -lt 2 ]; do
+    kill -0 "$LG_PID" 2> /dev/null || {
+        cat "$WORK_DIR/kill_lg.txt"
+        echo "FAIL: load ended before two deployments were journaled"
         exit 1; }
-    kill -0 "$LG_PID" 2> /dev/null || break
-    sleep 0.1
+    i=$((i + 1))
+    [ "$i" -le 1200 ] || {
+        echo "FAIL: no deployment journaled within 60 s"; exit 1; }
+    sleep 0.05
 done
-sleep 0.3
+kill -0 "$LG_PID" 2> /dev/null || {
+    echo "FAIL: load ended before the kill"; exit 1; }
 kill -9 "$SRV_PID"
 wait "$SRV_PID" 2> /dev/null || true
-sleep 0.5
 
 "$BIN_DIR/whisperd" --listen 127.0.0.1:$PORT \
-    --tenants auto \
-    --journal-dir "$WORK_DIR/kill_journal" \
-    --out-dir "$WORK_DIR/kill_out" \
-    --chunk-records 1000 --epoch-chunks 2 \
-    --quota-chunks 64 --quota-jobs 65536 --max-hard 64 \
+    --port-file "$WORK_DIR/kill_port2.txt" $KILL_ARGS \
     > "$WORK_DIR/kill_s2.txt" 2>&1 &
 SRV_PID=$!
+wait_port_file "$WORK_DIR/kill_port2.txt"
 
 wait "$LG_PID" || {
     cat "$WORK_DIR/kill_lg.txt"

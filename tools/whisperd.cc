@@ -2,25 +2,32 @@
  * @file
  * whisperd — continuous profile-guided optimization service CLI.
  *
- * Streams every .whrt file of a chunk directory (sorted by name, so
- * naming encodes the drift order) through the whisperd loop:
- * bounded-chunk ingest, sharded streaming profiling, parallel
- * formula training, validated hint-bundle deployment. Writes the
- * final deployed generation as an epoch-stamped bundle and can
- * evaluate it (and a static reference bundle) on a held-out trace.
+ * Every mode runs one TenantRouter: each application named by
+ * --tenants (or, with --tenants auto, each app seen in the input) gets
+ * its own pipeline of bounded-chunk ingest, streaming profiling,
+ * parallel formula training and validated hint-bundle deployment. A
+ * single-app run is simply a router with one tenant.
+ *
+ * With --chunks DIR, every .whrt file of the directory is streamed
+ * (sorted by name, so naming encodes the drift order) and each
+ * tenant's final deployed generation is written to --out-dir as an
+ * epoch-stamped bundle. --eval-trace then evaluates the bundle of the
+ * tenant named by the trace's app metadata (and --compare-hints a
+ * static reference bundle) on that held-out trace.
  *
  * Usage:
- *   whisperd --chunks DIR --out FILE [--chunk-records N]
- *            [--epoch-chunks N] [--workers N] [--shards N]
- *            [--tage-kb N] [--max-hard N] [--margin F]
- *            [--journal FILE] [--fault-spec SPEC]
+ *   whisperd --chunks DIR --tenants LIST [--out-dir DIR]
+ *            [--journal-dir DIR] [--chunk-records N]
+ *            [--epoch-chunks N] [--workers N] [--tage-kb N]
+ *            [--max-hard N] [--margin F] [--fault-spec SPEC]
  *            [--deadline-ms N] [--max-attempts N]
  *            [--eval-trace FILE] [--compare-hints FILE] [--quiet]
  *
- * With --journal the deployed-generation history is written through
- * a crash-safe write-ahead journal; a restarted daemon replays it
- * and resumes from the last durable epoch. --fault-spec installs the
- * deterministic fault-injection harness (see fault_injection.hh).
+ * With --journal-dir each tenant's deployed-generation history is
+ * written through a crash-safe write-ahead journal
+ * (DIR/<app>.journal); a restarted daemon replays it and resumes from
+ * the last durable epoch. --fault-spec installs the deterministic
+ * fault-injection harness (see fault_injection.hh).
  *
  * With --listen [ADDR:]PORT whisperd becomes an actual server:
  * chunks arrive over the CRC-framed wire protocol (see src/net/)
@@ -45,7 +52,6 @@
 #include "net/wire_server.hh"
 #include "service/fault_injection.hh"
 #include "service/tenant_router.hh"
-#include "service/whisperd.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/table.hh"
@@ -60,25 +66,22 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: whisperd --chunks DIR --out FILE [options]\n"
+        "usage: whisperd (--chunks DIR | --listen [ADDR:]PORT) "
+        "--tenants LIST [options]\n"
         "  --chunks DIR         directory of .whrt trace chunks\n"
-        "  --out FILE           final versioned bundle to write\n"
         "  --chunk-records N    ingest chunk size (default 50000)\n"
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
         "  --workers N          training pool width (default 4)\n"
-        "  --shards N           profile shards (default 2)\n"
         "  --tage-kb N          baseline budget (default 64)\n"
-        "  --max-hard N         hard-branch cap per shard "
+        "  --max-hard N         hard-branch cap per tenant "
         "(default 512)\n"
         "  --fraction F         randomized-testing fraction\n"
         "  --margin F           acceptance accuracy margin "
         "(default 0)\n"
-        "  --journal FILE       crash-safe deployment journal "
-        "(resume on restart)\n"
-        "  --tenants LIST       multi-tenant mode: comma-separated "
-        "app names, or 'auto'\n"
-        "                       to register apps on first chunk\n"
+        "  --tenants LIST       comma-separated app names, or "
+        "'auto' to register apps\n"
+        "                       on first chunk\n"
         "  --journal-dir DIR    per-tenant journals "
         "(DIR/<app>.journal)\n"
         "  --out-dir DIR        per-tenant deployed bundles "
@@ -103,15 +106,14 @@ usage()
         "is degraded (default 3)\n"
         "  --listen [ADDR:]PORT serve the wire protocol instead of "
         "streaming --chunks\n"
-        "                       (PORT 0 = ephemeral; requires "
-        "--tenants)\n"
+        "                       (PORT 0 = ephemeral)\n"
         "  --port-file FILE     write the bound port after listen\n"
         "  --retry-after-ms N   backpressure hint sent to clients "
         "(default 25)\n"
         "  --idle-timeout-ms N  reap connections stalled mid-frame "
         "(default 10000)\n"
-        "  --eval-trace FILE    evaluate the deployed bundle on a "
-        "trace\n"
+        "  --eval-trace FILE    evaluate the deployed bundle of the "
+        "trace's app on it\n"
         "  --compare-hints FILE also evaluate a static bundle on it\n"
         "  --quiet              no per-epoch log\n");
     std::exit(2);
@@ -187,43 +189,13 @@ parsePerApp(const std::string &value, uint64_t *global,
     return true;
 }
 
-/** Everything the multi-tenant modes (streaming and server) share. */
+/** Per-app CLI settings that TenantRouterConfig does not hold. */
 struct TenantArgs
 {
     std::string tenantsArg;
-    std::string journalDir;
     std::string outDir;
-    unsigned dispatchers = 1;
-    TenantQuota defaultQuota;
     std::map<std::string, uint64_t> quotaChunks, quotaJobs, weights;
 };
-
-TenantRouterConfig
-buildRouterConfig(const WhisperdConfig &cfg, const TenantArgs &args)
-{
-    TenantRouterConfig tcfg;
-    tcfg.chunkRecords = cfg.chunkRecords;
-    tcfg.epochChunks = cfg.epochChunks;
-    tcfg.trainWorkers = cfg.trainWorkers;
-    tcfg.trainDispatchers = args.dispatchers;
-    tcfg.queueCapacity = cfg.queueCapacity;
-    tcfg.tageBudgetKB = cfg.tageBudgetKB;
-    tcfg.acceptMargin = cfg.acceptMargin;
-    tcfg.profilePolicy = cfg.profilePolicy;
-    tcfg.whisper = cfg.whisper;
-    tcfg.injector = cfg.injector;
-    tcfg.verbose = cfg.verbose;
-    tcfg.journalDir = args.journalDir;
-    tcfg.trainTaskDeadlineMs = cfg.trainTaskDeadlineMs;
-    tcfg.trainMaxAttempts = cfg.trainMaxAttempts;
-    tcfg.trainPrune = cfg.trainPrune;
-    tcfg.screen = cfg.screen;
-    tcfg.warmStart = cfg.warmStart;
-    tcfg.warmFallbackMargin = cfg.warmFallbackMargin;
-    tcfg.defaultQuota = args.defaultQuota;
-    tcfg.autoRegister = args.tenantsArg == "auto";
-    return tcfg;
-}
 
 /** Register the --tenants list (no-op under auto-register).
  * @return false when the list named no apps. */
@@ -233,7 +205,7 @@ registerTenants(TenantRouter &router, const TenantArgs &args)
     if (args.tenantsArg == "auto")
         return true;
     auto quotaFor = [&](const std::string &app) {
-        TenantQuota q = args.defaultQuota;
+        TenantQuota q = router.config().defaultQuota;
         if (auto it = args.quotaChunks.find(app);
             it != args.quotaChunks.end())
             q.maxQueuedChunks = static_cast<size_t>(it->second);
@@ -315,41 +287,66 @@ reportTenants(TenantRouter &router, const std::string &outDir)
     return status;
 }
 
+/** Evaluate the deployed bundle of the tenant named by @p evalPath's
+ * app metadata (and optionally a static bundle) on that trace. */
 int
-runMultiTenant(const WhisperdConfig &cfg, const std::string &chunkDir,
-               const TenantArgs &args)
+evaluate(const TenantRouter &router, const std::string &evalPath,
+         const std::string &comparePath)
 {
-    TenantRouterConfig tcfg = buildRouterConfig(cfg, args);
-    TenantRouter router(tcfg, globalTruthTables());
-    if (!registerTenants(router, args)) {
-        std::fprintf(stderr, "error: --tenants named no apps\n");
-        return 2;
+    BranchTrace evalTrace;
+    if (IoStatus st = evalTrace.load(evalPath); !st) {
+        std::fprintf(stderr, "error: %s\n", st.message.c_str());
+        return 1;
+    }
+    const Tenant *tenant = router.registry().find(evalTrace.app());
+    HintStore::Snapshot deployed =
+        tenant ? tenant->store.current() : nullptr;
+    if (!deployed) {
+        std::fprintf(stderr,
+                     "error: no bundle deployed for app '%s' of %s\n",
+                     evalTrace.app().c_str(), evalPath.c_str());
+        return 1;
     }
 
-    std::printf("whisperd: multi-tenant streaming %s (%zu tenants%s, "
-                "chunk=%zu records, epoch=%u chunks, %u train "
-                "workers, %u dispatchers)\n",
-                chunkDir.c_str(), router.registry().size(),
-                tcfg.autoRegister ? " + auto-register" : "",
-                tcfg.chunkRecords, tcfg.epochChunks,
-                tcfg.trainWorkers,
-                std::max(1u, tcfg.trainDispatchers));
+    const TenantRouterConfig &cfg = router.config();
+    double baseMpki = 0.0, onlineMpki = 0.0;
+    double baseAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
+                                        cfg.whisper, nullptr,
+                                        &baseMpki);
+    double onlineAcc = evalBundleAccuracy(
+        evalTrace, cfg.tageBudgetKB, cfg.whisper, &deployed->bundle,
+        &onlineMpki);
+    std::printf("eval %s: tage accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * baseAcc, baseMpki);
+    std::printf("eval %s: online-whisper accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * onlineAcc, onlineMpki);
 
-    router.run(chunkDir);
-    return reportTenants(router, args.outDir);
+    if (comparePath.empty())
+        return 0;
+    HintBundle staticBundle;
+    if (IoStatus st = loadHintBundle(staticBundle, comparePath); !st) {
+        std::fprintf(stderr, "error: %s\n", st.message.c_str());
+        return 1;
+    }
+    double staticMpki = 0.0;
+    double staticAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
+                                          cfg.whisper, &staticBundle,
+                                          &staticMpki);
+    std::printf("eval %s: static-whisper accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * staticAcc, staticMpki);
+    std::printf("online-vs-static: %+.4fpp (%s)\n",
+                100.0 * (onlineAcc - staticAcc),
+                onlineAcc >= staticAcc ? "online wins or ties"
+                                       : "online loses");
+    return 0;
 }
 
 int
-runServer(const WhisperdConfig &cfg, const TenantArgs &args,
+runServer(TenantRouter &router, const std::string &outDir,
           const std::string &listenArg, const std::string &portFile,
           uint32_t retryAfterMs, uint32_t idleTimeoutMs)
 {
-    TenantRouterConfig tcfg = buildRouterConfig(cfg, args);
-    TenantRouter router(tcfg, globalTruthTables());
-    if (!registerTenants(router, args)) {
-        std::fprintf(stderr, "error: --tenants named no apps\n");
-        return 2;
-    }
+    const TenantRouterConfig &tcfg = router.config();
     router.start();
 
     WireServerConfig scfg;
@@ -364,7 +361,7 @@ runServer(const WhisperdConfig &cfg, const TenantArgs &args,
                                            10));
     scfg.retryAfterMs = retryAfterMs;
     scfg.idleTimeoutMs = idleTimeoutMs;
-    scfg.verbose = cfg.verbose;
+    scfg.verbose = tcfg.verbose;
 
     WireServer server(
         scfg,
@@ -447,7 +444,7 @@ runServer(const WhisperdConfig &cfg, const TenantArgs &args,
         static_cast<unsigned long long>(ws.bundlesSent),
         static_cast<unsigned long long>(ws.bundlesUnchanged),
         static_cast<unsigned long long>(ws.listenerRestarts));
-    return reportTenants(router, args.outDir);
+    return reportTenants(router, outDir);
 }
 
 int
@@ -458,12 +455,12 @@ main(int argc, char **argv)
     // beats sudden death.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::string chunkDir, outPath, evalPath, comparePath;
+    std::string chunkDir, evalPath, comparePath;
     std::string faultSpec;
     std::string listenArg, portFile;
     uint32_t retryAfterMs = 25, idleTimeoutMs = 10'000;
     TenantArgs tenants;
-    WhisperdConfig cfg;
+    TenantRouterConfig cfg;
     double fraction = -1.0;
 
     for (int i = 1; i < argc; ++i) {
@@ -475,8 +472,6 @@ main(int argc, char **argv)
         };
         if (arg == "--chunks")
             chunkDir = next();
-        else if (arg == "--out")
-            outPath = next();
         else if (arg == "--chunk-records")
             cfg.chunkRecords =
                 static_cast<size_t>(std::strtoull(next(), nullptr, 10));
@@ -484,9 +479,6 @@ main(int argc, char **argv)
             cfg.epochChunks = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--workers")
             cfg.trainWorkers = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--shards")
-            cfg.profileShards =
-                static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--tage-kb")
             cfg.tageBudgetKB = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--max-hard")
@@ -496,28 +488,25 @@ main(int argc, char **argv)
             fraction = std::atof(next());
         else if (arg == "--margin")
             cfg.acceptMargin = std::atof(next());
-        else if (arg == "--journal")
-            cfg.journalPath = next();
         else if (arg == "--tenants")
             tenants.tenantsArg = next();
         else if (arg == "--journal-dir")
-            tenants.journalDir = next();
+            cfg.journalDir = next();
         else if (arg == "--out-dir")
             tenants.outDir = next();
         else if (arg == "--dispatchers")
-            tenants.dispatchers =
+            cfg.trainDispatchers =
                 static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--quota-chunks") {
-            uint64_t v = tenants.defaultQuota.maxQueuedChunks;
+            uint64_t v = cfg.defaultQuota.maxQueuedChunks;
             if (!parsePerApp(next(), &v, tenants.quotaChunks))
                 usage();
-            tenants.defaultQuota.maxQueuedChunks =
-                static_cast<size_t>(v);
+            cfg.defaultQuota.maxQueuedChunks = static_cast<size_t>(v);
         } else if (arg == "--quota-jobs") {
-            uint64_t v = tenants.defaultQuota.maxPendingTrainJobs;
+            uint64_t v = cfg.defaultQuota.maxPendingTrainJobs;
             if (!parsePerApp(next(), &v, tenants.quotaJobs))
                 usage();
-            tenants.defaultQuota.maxPendingTrainJobs =
+            cfg.defaultQuota.maxPendingTrainJobs =
                 static_cast<size_t>(v);
         } else if (arg == "--tenant-weight") {
             uint64_t unused = 0;
@@ -564,18 +553,13 @@ main(int argc, char **argv)
         else
             usage();
     }
-    bool multiTenant = !tenants.tenantsArg.empty();
     bool serverMode = !listenArg.empty();
-    if (serverMode && !multiTenant) {
-        std::fprintf(stderr, "error: --listen requires --tenants\n");
-        return 2;
-    }
-    if (cfg.chunkRecords == 0 ||
-        (!serverMode &&
-         (chunkDir.empty() || (outPath.empty() && !multiTenant))))
+    if (cfg.chunkRecords == 0 || tenants.tenantsArg.empty() ||
+        (!serverMode && chunkDir.empty()))
         usage();
     if (fraction > 0)
         cfg.whisper.formulaFraction = fraction;
+    cfg.autoRegister = tenants.tenantsArg == "auto";
     if (!faultSpec.empty()) {
         std::string error;
         if (!FaultInjector::instance().configure(faultSpec, &error)) {
@@ -586,117 +570,31 @@ main(int argc, char **argv)
         std::printf("whisperd: fault injection armed: %s\n",
                     faultSpec.c_str());
     }
-    if (serverMode)
-        return runServer(cfg, tenants, listenArg, portFile,
-                         retryAfterMs, idleTimeoutMs);
-    if (ChunkIngestor::listTraceFiles(chunkDir).empty()) {
+    if (!serverMode && ChunkIngestor::listTraceFiles(chunkDir).empty()) {
         std::fprintf(stderr, "error: no .whrt files in %s\n",
                      chunkDir.c_str());
         return 1;
     }
 
-    if (multiTenant)
-        return runMultiTenant(cfg, chunkDir, tenants);
-
-    std::printf("whisperd: streaming %s (chunk=%zu records, "
-                "epoch=%u chunks, %u train workers, %u shards)\n",
-                chunkDir.c_str(), cfg.chunkRecords, cfg.epochChunks,
-                cfg.trainWorkers, cfg.profileShards);
-
-    Whisperd daemon(cfg, globalTruthTables());
-    if (!cfg.journalPath.empty()) {
-        std::printf(
-            "whisperd: resumed from journal at epoch %llu "
-            "(%llu generations)\n",
-            static_cast<unsigned long long>(daemon.resumedEpoch()),
-            static_cast<unsigned long long>(
-                daemon.recoveredGenerations()));
+    TenantRouter router(cfg, globalTruthTables());
+    if (!registerTenants(router, tenants)) {
+        std::fprintf(stderr, "error: --tenants named no apps\n");
+        return 2;
     }
-    daemon.run(chunkDir);
+    if (serverMode)
+        return runServer(router, tenants.outDir, listenArg, portFile,
+                         retryAfterMs, idleTimeoutMs);
 
-    const HintStore &store = daemon.store();
-    std::printf("whisperd: epochs=%llu accepted=%llu rejected=%llu "
-                "deployed-epoch=%llu\n",
-                static_cast<unsigned long long>(daemon.epochsRun()),
-                static_cast<unsigned long long>(store.accepted()),
-                static_cast<unsigned long long>(store.rejected()),
-                static_cast<unsigned long long>(store.epoch()));
-    const ServiceMetrics &sm = daemon.metrics();
-    std::printf(
-        "whisperd: training warm-hits=%llu cold-searches=%llu "
-        "warm-fallbacks=%llu branch-train-ms=%.3f\n",
-        static_cast<unsigned long long>(sm.warmHits),
-        static_cast<unsigned long long>(sm.coldSearches),
-        static_cast<unsigned long long>(sm.warmFallbackEpochs),
-        sm.branchTrainMs.mean());
-    std::printf(
-        "whisperd: faults skipped-chunks=%llu skipped-records=%llu "
-        "retries=%llu requeued-tasks=%llu degraded-branches=%llu "
-        "torn-writes=%llu workers-died=%llu\n",
-        static_cast<unsigned long long>(sm.chunksSkipped),
-        static_cast<unsigned long long>(sm.recordsSkipped),
-        static_cast<unsigned long long>(sm.readRetries),
-        static_cast<unsigned long long>(sm.tasksRequeued),
-        static_cast<unsigned long long>(sm.branchesDegraded),
-        static_cast<unsigned long long>(sm.journalAppendFailures),
-        static_cast<unsigned long long>(sm.workersDied));
-    daemon.metrics().report(std::cout);
-
-    HintStore::Snapshot deployed = store.current();
-    if (!deployed) {
-        std::fprintf(stderr,
-                     "whisperd: no bundle was ever deployed\n");
-        return 1;
-    }
-    if (!saveVersionedBundle(*deployed, outPath)) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::printf("whisperd: deployed bundle (epoch %llu, %zu hints) "
-                "-> %s\n",
-                static_cast<unsigned long long>(deployed->epoch),
-                deployed->bundle.hints.size(), outPath.c_str());
-
-    if (evalPath.empty())
-        return 0;
-
-    BranchTrace evalTrace;
-    if (IoStatus st = evalTrace.load(evalPath); !st) {
-        std::fprintf(stderr, "error: %s\n", st.message.c_str());
-        return 1;
-    }
-
-    double baseMpki = 0.0, onlineMpki = 0.0;
-    double baseAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
-                                        cfg.whisper, nullptr,
-                                        &baseMpki);
-    double onlineAcc = evalBundleAccuracy(
-        evalTrace, cfg.tageBudgetKB, cfg.whisper, &deployed->bundle,
-        &onlineMpki);
-    std::printf("eval %s: tage accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * baseAcc, baseMpki);
-    std::printf("eval %s: online-whisper accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * onlineAcc, onlineMpki);
-
-    if (!comparePath.empty()) {
-        HintBundle staticBundle;
-        if (IoStatus st = loadHintBundle(staticBundle, comparePath);
-            !st) {
-            std::fprintf(stderr, "error: %s\n", st.message.c_str());
-            return 1;
-        }
-        double staticMpki = 0.0;
-        double staticAcc = evalBundleAccuracy(
-            evalTrace, cfg.tageBudgetKB, cfg.whisper, &staticBundle,
-            &staticMpki);
-        std::printf(
-            "eval %s: static-whisper accuracy=%.4f%% mpki=%.3f\n",
-            evalPath.c_str(), 100.0 * staticAcc, staticMpki);
-        std::printf("online-vs-static: %+.4fpp (%s)\n",
-                    100.0 * (onlineAcc - staticAcc),
-                    onlineAcc >= staticAcc ? "online wins or ties"
-                                           : "online loses");
-    }
-    return 0;
+    std::printf("whisperd: streaming %s (%zu tenants%s, chunk=%zu "
+                "records, epoch=%u chunks, %u train workers, %u "
+                "dispatchers)\n",
+                chunkDir.c_str(), router.registry().size(),
+                cfg.autoRegister ? " + auto-register" : "",
+                cfg.chunkRecords, cfg.epochChunks, cfg.trainWorkers,
+                std::max(1u, cfg.trainDispatchers));
+    router.run(chunkDir);
+    int status = reportTenants(router, tenants.outDir);
+    if (status != 0 || evalPath.empty())
+        return status;
+    return evaluate(router, evalPath, comparePath);
 }
