@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "bp/perceptron.hh"
@@ -368,6 +369,15 @@ constexpr Golden kGoldens[] = {
     {"mysql", 0, 120000, 54686, 5110, 540547},
     {"kafka", 0, 120000, 55445, 1746, 539827},
 };
+
+// gtest_discover_tests puts the printed parameter into the ctest
+// name. The default printer dumps the struct's bytes, whose `app`
+// pointer moves with every (ASLR) run, so print the workload instead.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.app << "_input" << g.input;
+}
 
 } // namespace
 
