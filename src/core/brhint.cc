@@ -25,16 +25,19 @@ BrHint::encode() const
 BrHint
 BrHint::decode(uint64_t bits)
 {
-    whisper_assert(bits < (1ULL << kEncodedBits),
-                   "brhint encoding overflow");
+    whisper_assert(isValidEncoding(bits), "invalid brhint encoding");
     BrHint h;
     h.historyIdx = static_cast<uint8_t>(bitsOf(bits, 0, 4));
     h.formula = static_cast<uint16_t>(bitsOf(bits, 4, 15));
-    uint8_t biasRaw = static_cast<uint8_t>(bitsOf(bits, 19, 2));
-    whisper_assert(biasRaw < 3, "reserved bias encoding");
-    h.bias = static_cast<HintBias>(biasRaw);
+    h.bias = static_cast<HintBias>(bitsOf(bits, 19, 2));
     h.pcPointer = static_cast<uint16_t>(bitsOf(bits, 21, 12));
     return h;
+}
+
+bool
+BrHint::isValidEncoding(uint64_t bits)
+{
+    return bits < (1ULL << kEncodedBits) && bitsOf(bits, 19, 2) < 3;
 }
 
 uint16_t

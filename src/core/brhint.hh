@@ -41,8 +41,12 @@ struct BrHint
     /** Pack into the instruction's immediate encoding. */
     uint64_t encode() const;
 
-    /** Unpack; asserts reserved bias value 3 is not present. */
+    /** Unpack; asserts isValidEncoding(@p bits). */
     static BrHint decode(uint64_t bits);
+
+    /** Fits in kEncodedBits and avoids the reserved bias value 3 —
+     * what a decoder of untrusted bytes checks before decode(). */
+    static bool isValidEncoding(uint64_t bits);
 
     /** 12-bit PC pointer derived from a full branch address. */
     static uint16_t pcPointerFor(uint64_t branchPc);

@@ -1,8 +1,6 @@
 #include "core/whisper_io.hh"
 
-#include <cstdio>
-#include <cstring>
-#include <type_traits>
+#include "util/byte_codec.hh"
 
 namespace whisper
 {
@@ -15,229 +13,147 @@ constexpr uint32_t kHintMagic = 0x57484E54;    // "WHNT"
 constexpr uint32_t kEpochMagic = 0x57484550;   // "WHEP"
 constexpr uint32_t kVersion = 1;
 
-/** Hard caps on untrusted length fields (counts, not bytes). */
+/** Hard caps on untrusted length fields (counts, not bytes); the
+ * reader also bounds every count by the bytes that remain. */
 constexpr uint64_t kMaxHints = 1ULL << 24;
 constexpr uint64_t kMaxBranches = 1ULL << 32;
-constexpr uint64_t kMaxTableEntries = 1ULL << 20;
+constexpr unsigned kMaxHashWidth = 20;
 
-/** Minimal checked binary writer/reader over stdio. */
-class BinFile
+/** Encoded sizes: the minimum bytes one element occupies. */
+constexpr size_t kHintBytes = 8 + 8 + 4 + 8 + 8 + 8;
+constexpr size_t kPlacementBytes = 8 + 8 + 8 + 8 + 8;
+constexpr size_t kEntryBytes = 8 + 8 + 8 + 8 + 1;
+
+void
+putSampleTable(ByteWriter &w, const HashedSampleTable &t)
 {
-  public:
-    BinFile(const std::string &path, const char *mode)
-        : f_(std::fopen(path.c_str(), mode))
-    {
+    for (const std::vector<uint32_t> *v : {&t.taken, &t.notTaken}) {
+        w.u64(v->size());
+        w.bytes(v->data(), v->size() * sizeof(uint32_t));
     }
-    ~BinFile()
-    {
-        if (f_)
-            std::fclose(f_);
-    }
-    BinFile(const BinFile &) = delete;
-    BinFile &operator=(const BinFile &) = delete;
+}
 
-    bool opened() const { return f_ != nullptr; }
-    bool valid() const { return f_ != nullptr && ok_; }
-
-    template <typename T>
-    void
-    put(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (valid() && std::fwrite(&v, 1, sizeof(T), f_) != sizeof(T))
-            ok_ = false;
-    }
-
-    template <typename T>
-    void
-    get(T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (valid() && std::fread(&v, 1, sizeof(T), f_) != sizeof(T))
-            ok_ = false;
-    }
-
-    void
-    putVec32(const std::vector<uint32_t> &v)
-    {
-        put(static_cast<uint64_t>(v.size()));
-        if (valid() && !v.empty() &&
-            std::fwrite(v.data(), sizeof(uint32_t), v.size(), f_) !=
-                v.size()) {
-            ok_ = false;
-        }
-    }
-
-    bool
-    getVec32(std::vector<uint32_t> &v, uint64_t maxSize)
-    {
-        uint64_t n = 0;
-        get(n);
-        if (!valid() || n > maxSize)
-            return false;
-        v.resize(n);
-        if (!v.empty() &&
-            std::fread(v.data(), sizeof(uint32_t), v.size(), f_) !=
-                v.size()) {
-            ok_ = false;
-        }
-        return valid();
-    }
-
-  private:
-    std::FILE *f_;
-    bool ok_ = true;
-};
-
-/** BinFile-compatible writer appending to a byte vector. */
-class MemWriter
+/** A table must have exactly the 2^keyBits cells markHard() gives
+ * it; any other size would index out of bounds in training. */
+void
+getSampleTable(ByteReader &r, HashedSampleTable &t, unsigned keyBits)
 {
-  public:
-    bool valid() const { return true; }
-
-    template <typename T>
-    void
-    put(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const auto *p = reinterpret_cast<const unsigned char *>(&v);
-        buf_.insert(buf_.end(), p, p + sizeof(T));
+    for (std::vector<uint32_t> *v : {&t.taken, &t.notTaken}) {
+        if (r.count(1ULL << keyBits, sizeof(uint32_t)) != 1ULL << keyBits)
+            r.fail();
+        v->resize(r.ok() ? 1ULL << keyBits : 0);
+        r.bytes(v->data(), v->size() * sizeof(uint32_t));
     }
+}
 
-    void
-    putVec32(const std::vector<uint32_t> &v)
-    {
-        put(static_cast<uint64_t>(v.size()));
-        const auto *p =
-            reinterpret_cast<const unsigned char *>(v.data());
-        buf_.insert(buf_.end(), p, p + v.size() * sizeof(uint32_t));
-    }
-
-    std::vector<unsigned char> take() { return std::move(buf_); }
-
-  private:
-    std::vector<unsigned char> buf_;
-};
-
-/** BinFile-compatible bounds-checked reader over a byte buffer. */
-class MemReader
+void
+putBundleBody(ByteWriter &w, const HintBundle &bundle)
 {
-  public:
-    MemReader(const unsigned char *data, size_t size)
-        : data_(data), size_(size)
-    {
+    w.reserve(w.size() + 16 + bundle.hints.size() * kHintBytes +
+              bundle.placements.size() * kPlacementBytes);
+    w.u64(bundle.hints.size());
+    for (const auto &h : bundle.hints) {
+        w.u64(h.pc);
+        w.u64(h.hint.encode());
+        w.u32(h.historyLength);
+        w.u64(h.expectedMispredicts);
+        w.u64(h.profiledMispredicts);
+        w.u64(h.executions);
     }
+    w.u64(bundle.placements.size());
+    for (const auto &p : bundle.placements) {
+        w.u64(p.branchPc);
+        w.u64(p.predecessorPc);
+        w.f64(p.coverage);
+        w.f64(p.precision);
+        w.u64(p.predecessorExecutions);
+    }
+}
 
-    bool valid() const { return ok_; }
-    bool exhausted() const { return pos_ == size_; }
-
-    template <typename T>
-    void
-    get(T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (!ok_ || size_ - pos_ < sizeof(T)) {
-            ok_ = false;
+/** Read a bundle body; a damaged one poisons @p r. */
+void
+getBundleBody(ByteReader &r, HintBundle &bundle)
+{
+    bundle.hints.resize(r.count(kMaxHints, kHintBytes));
+    for (auto &h : bundle.hints) {
+        h.pc = r.u64();
+        uint64_t encoded = r.u64();
+        if (!BrHint::isValidEncoding(encoded)) {
+            r.fail();
             return;
         }
-        std::memcpy(&v, data_ + pos_, sizeof(T));
-        pos_ += sizeof(T);
-    }
-
-    bool
-    getVec32(std::vector<uint32_t> &v, uint64_t maxSize)
-    {
-        uint64_t n = 0;
-        get(n);
-        if (!ok_ || n > maxSize ||
-            size_ - pos_ < n * sizeof(uint32_t)) {
-            ok_ = false;
-            return false;
-        }
-        v.resize(n);
-        std::memcpy(v.data(), data_ + pos_, n * sizeof(uint32_t));
-        pos_ += n * sizeof(uint32_t);
-        return true;
-    }
-
-  private:
-    const unsigned char *data_;
-    size_t size_;
-    size_t pos_ = 0;
-    bool ok_ = true;
-};
-
-void
-putSampleTable(BinFile &f, const HashedSampleTable &t)
-{
-    f.putVec32(t.taken);
-    f.putVec32(t.notTaken);
-}
-
-bool
-getSampleTable(BinFile &f, HashedSampleTable &t)
-{
-    return f.getVec32(t.taken, kMaxTableEntries) &&
-           f.getVec32(t.notTaken, kMaxTableEntries) &&
-           t.taken.size() == t.notTaken.size();
-}
-
-template <typename Writer>
-void
-putBundleBody(Writer &f, const HintBundle &bundle)
-{
-    f.put(static_cast<uint64_t>(bundle.hints.size()));
-    for (const auto &h : bundle.hints) {
-        f.put(h.pc);
-        f.put(h.hint.encode());
-        f.put(h.historyLength);
-        f.put(h.expectedMispredicts);
-        f.put(h.profiledMispredicts);
-        f.put(h.executions);
-    }
-    f.put(static_cast<uint64_t>(bundle.placements.size()));
-    for (const auto &p : bundle.placements) {
-        f.put(p.branchPc);
-        f.put(p.predecessorPc);
-        f.put(p.coverage);
-        f.put(p.precision);
-        f.put(p.predecessorExecutions);
-    }
-}
-
-template <typename Reader>
-bool
-getBundleBody(Reader &f, HintBundle &bundle)
-{
-    uint64_t n = 0;
-    f.get(n);
-    if (!f.valid() || n > kMaxHints)
-        return false;
-    bundle.hints.resize(n);
-    for (auto &h : bundle.hints) {
-        uint64_t encoded = 0;
-        f.get(h.pc);
-        f.get(encoded);
-        if (!f.valid() || encoded >= (1ULL << BrHint::kEncodedBits))
-            return false;
         h.hint = BrHint::decode(encoded);
-        f.get(h.historyLength);
-        f.get(h.expectedMispredicts);
-        f.get(h.profiledMispredicts);
-        f.get(h.executions);
+        h.historyLength = r.u32();
+        h.expectedMispredicts = r.u64();
+        h.profiledMispredicts = r.u64();
+        h.executions = r.u64();
     }
-    f.get(n);
-    if (!f.valid() || n > kMaxHints)
-        return false;
-    bundle.placements.resize(n);
+    bundle.placements.resize(r.count(kMaxHints, kPlacementBytes));
     for (auto &p : bundle.placements) {
-        f.get(p.branchPc);
-        f.get(p.predecessorPc);
-        f.get(p.coverage);
-        f.get(p.precision);
-        f.get(p.predecessorExecutions);
+        p.branchPc = r.u64();
+        p.predecessorPc = r.u64();
+        p.coverage = r.f64();
+        p.precision = r.f64();
+        p.predecessorExecutions = r.u64();
     }
-    return f.valid();
+}
+
+void
+putVersioned(ByteWriter &w, const VersionedHintBundle &bundle)
+{
+    w.u64(bundle.epoch);
+    w.f64(bundle.validationAccuracy);
+    putBundleBody(w, bundle.bundle);
+}
+
+void
+getVersioned(ByteReader &r, VersionedHintBundle &bundle)
+{
+    bundle.epoch = r.u64();
+    bundle.validationAccuracy = r.f64();
+    getBundleBody(r, bundle.bundle);
+}
+
+/** Write magic, version and @p body to @p path. */
+template <typename Body>
+bool
+saveArtifact(const std::string &path, uint32_t magic, Body body)
+{
+    ByteWriter w;
+    w.u32(magic);
+    w.u32(kVersion);
+    body(w);
+    return writeFile(path, w.data(), w.size());
+}
+
+/** Read @p path: magic and version, then @p body into a fresh T that
+ * replaces @p out only once every byte of the file has decoded. The
+ * body returns nullptr or why the file is damaged. */
+template <typename T, typename Body>
+IoStatus
+loadArtifact(const std::string &path, uint32_t magic, const char *what,
+             T &out, Body body)
+{
+    std::vector<unsigned char> bytes;
+    if (IoStatus st = readFile(path, bytes); !st)
+        return st;
+    ByteReader r(bytes);
+    uint32_t gotMagic = r.u32();
+    uint32_t version = r.u32();
+    if (!r.ok() || gotMagic != magic)
+        return IoStatus::corruptFile(
+            path, std::string("bad magic (not a ") + what + ")");
+    if (version != kVersion)
+        return IoStatus::corruptFile(
+            path, std::string("unsupported ") + what + " version");
+    T loaded;
+    const char *why = body(r, loaded);
+    if (!why && !r.done())
+        why = "truncated or damaged";
+    if (why)
+        return IoStatus::corruptFile(path, std::string(what) + ": " + why);
+    out = std::move(loaded);
+    return IoStatus::okStatus();
 }
 
 } // namespace
@@ -245,199 +161,120 @@ getBundleBody(Reader &f, HintBundle &bundle)
 bool
 saveProfile(const BranchProfile &profile, const std::string &path)
 {
-    BinFile f(path, "wb");
-    if (!f.valid())
-        return false;
-
-    f.put(kProfileMagic);
-    f.put(kVersion);
-    const WhisperConfig &cfg = profile.config();
-    f.put(cfg.minHistoryLength);
-    f.put(cfg.maxHistoryLength);
-    f.put(cfg.numHistoryLengths);
-    f.put(cfg.hashWidth);
-    f.put(profile.totalInstructions);
-    f.put(profile.totalConditionals);
-    f.put(profile.totalMispredicts);
-
-    f.put(static_cast<uint64_t>(profile.numBranches()));
-    for (const auto &[pc, e] : profile.entries()) {
-        f.put(e.pc);
-        f.put(e.executions);
-        f.put(e.takenCount);
-        f.put(e.baselineMispredicts);
-        f.put(static_cast<uint8_t>(e.hard));
-        if (e.hard) {
-            for (const auto &table : e.byLength)
-                putSampleTable(f, table);
-            putSampleTable(f, e.raw4);
-            putSampleTable(f, e.raw8);
+    return saveArtifact(path, kProfileMagic, [&](ByteWriter &w) {
+        const WhisperConfig &cfg = profile.config();
+        w.u32(cfg.minHistoryLength);
+        w.u32(cfg.maxHistoryLength);
+        w.u32(cfg.numHistoryLengths);
+        w.u32(cfg.hashWidth);
+        w.u64(profile.totalInstructions);
+        w.u64(profile.totalConditionals);
+        w.u64(profile.totalMispredicts);
+        w.u64(profile.numBranches());
+        for (const auto &[pc, e] : profile.entries()) {
+            w.u64(e.pc);
+            w.u64(e.executions);
+            w.u64(e.takenCount);
+            w.u64(e.baselineMispredicts);
+            w.u8(e.hard);
+            if (e.hard) {
+                for (const auto &table : e.byLength)
+                    putSampleTable(w, table);
+                putSampleTable(w, e.raw4);
+                putSampleTable(w, e.raw8);
+            }
         }
-    }
-    return f.valid();
+    });
 }
 
 IoStatus
 loadProfile(BranchProfile &profile, const std::string &path)
 {
-    BinFile f(path, "rb");
-    if (!f.opened())
-        return IoStatus::missingFile(path);
-
-    uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.valid() || magic != kProfileMagic)
-        return IoStatus::corruptFile(path,
-                                     "bad magic (not a profile)");
-    if (version != kVersion)
-        return IoStatus::corruptFile(path,
-                                     "unsupported profile version");
-
-    WhisperConfig cfg;
-    f.get(cfg.minHistoryLength);
-    f.get(cfg.maxHistoryLength);
-    f.get(cfg.numHistoryLengths);
-    f.get(cfg.hashWidth);
-    if (!f.valid() || cfg.numHistoryLengths < 2 ||
-        cfg.numHistoryLengths > 16 ||
-        cfg.minHistoryLength >= cfg.maxHistoryLength) {
-        return IoStatus::corruptFile(path,
-                                     "implausible profile config");
-    }
-
-    BranchProfile loaded(cfg);
-    f.get(loaded.totalInstructions);
-    f.get(loaded.totalConditionals);
-    f.get(loaded.totalMispredicts);
-
-    uint64_t numBranches = 0;
-    f.get(numBranches);
-    if (!f.valid() || numBranches > kMaxBranches)
-        return IoStatus::corruptFile(path,
-                                     "branch count out of bounds");
-
-    for (uint64_t i = 0; i < numBranches; ++i) {
-        uint64_t pc = 0;
-        f.get(pc);
-        if (!f.valid())
-            return IoStatus::corruptFile(path, "truncated entry");
-        BranchProfileEntry &e = loaded.entry(pc);
-        f.get(e.executions);
-        f.get(e.takenCount);
-        f.get(e.baselineMispredicts);
-        uint8_t hard = 0;
-        f.get(hard);
-        if (!f.valid())
-            return IoStatus::corruptFile(path, "truncated entry");
-        if (hard) {
-            loaded.markHard(pc);
-            for (auto &table : e.byLength) {
-                if (!getSampleTable(f, table)) {
-                    return IoStatus::corruptFile(
-                        path, "damaged sample table");
-                }
-            }
-            if (!getSampleTable(f, e.raw4) ||
-                !getSampleTable(f, e.raw8)) {
-                return IoStatus::corruptFile(path,
-                                             "damaged sample table");
-            }
+    return loadArtifact(path, kProfileMagic, "profile", profile,
+                        [](ByteReader &r, BranchProfile &loaded)
+                            -> const char * {
+        WhisperConfig cfg;
+        cfg.minHistoryLength = r.u32();
+        cfg.maxHistoryLength = r.u32();
+        cfg.numHistoryLengths = r.u32();
+        cfg.hashWidth = r.u32();
+        if (!r.ok() || cfg.numHistoryLengths < 2 ||
+            cfg.numHistoryLengths > 16 || cfg.minHistoryLength < 1 ||
+            cfg.minHistoryLength >= cfg.maxHistoryLength ||
+            cfg.hashWidth > kMaxHashWidth) {
+            return "implausible config";
         }
-    }
-    if (!f.valid())
-        return IoStatus::corruptFile(path, "truncated profile");
-    profile = std::move(loaded);
-    return IoStatus::okStatus();
+        loaded = BranchProfile(cfg);
+        loaded.totalInstructions = r.u64();
+        loaded.totalConditionals = r.u64();
+        loaded.totalMispredicts = r.u64();
+        uint64_t numBranches = r.count(kMaxBranches, kEntryBytes);
+        for (uint64_t i = 0; i < numBranches && r.ok(); ++i) {
+            uint64_t pc = r.u64();
+            if (loaded.find(pc)) // a saved profile has one entry per PC
+                return "duplicate branch entry";
+            BranchProfileEntry &e = loaded.entry(pc);
+            e.executions = r.u64();
+            e.takenCount = r.u64();
+            e.baselineMispredicts = r.u64();
+            e.hard = r.u8() != 0;
+            if (!e.hard)
+                continue;
+            // Read in place of markHard()'s zeroed tables, so nothing
+            // is allocated before its bytes are known to exist.
+            e.byLength.resize(loaded.lengths().size());
+            for (auto &table : e.byLength)
+                getSampleTable(r, table, cfg.hashWidth);
+            getSampleTable(r, e.raw4, 4);
+            getSampleTable(r, e.raw8, 8);
+        }
+        return nullptr;
+    });
 }
 
 bool
 saveHintBundle(const HintBundle &bundle, const std::string &path)
 {
-    BinFile f(path, "wb");
-    if (!f.valid())
-        return false;
-    f.put(kHintMagic);
-    f.put(kVersion);
-    putBundleBody(f, bundle);
-    return f.valid();
+    return saveArtifact(path, kHintMagic, [&](ByteWriter &w) {
+        putBundleBody(w, bundle);
+    });
 }
 
 IoStatus
 loadHintBundle(HintBundle &bundle, const std::string &path)
 {
-    BinFile f(path, "rb");
-    if (!f.opened())
-        return IoStatus::missingFile(path);
-    uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.valid() || magic != kHintMagic)
-        return IoStatus::corruptFile(
-            path, "bad magic (not a hint bundle)");
-    if (version != kVersion)
-        return IoStatus::corruptFile(path,
-                                     "unsupported bundle version");
-
-    HintBundle loaded;
-    if (!getBundleBody(f, loaded))
-        return IoStatus::corruptFile(path,
-                                     "truncated or damaged bundle");
-    bundle = std::move(loaded);
-    return IoStatus::okStatus();
+    return loadArtifact(path, kHintMagic, "hint bundle", bundle,
+                        [](ByteReader &r, HintBundle &loaded) {
+                            getBundleBody(r, loaded);
+                            return nullptr;
+                        });
 }
 
 bool
 saveVersionedBundle(const VersionedHintBundle &bundle,
                     const std::string &path)
 {
-    BinFile f(path, "wb");
-    if (!f.valid())
-        return false;
-    f.put(kEpochMagic);
-    f.put(kVersion);
-    f.put(bundle.epoch);
-    f.put(bundle.validationAccuracy);
-    putBundleBody(f, bundle.bundle);
-    return f.valid();
+    return saveArtifact(path, kEpochMagic, [&](ByteWriter &w) {
+        putVersioned(w, bundle);
+    });
 }
 
 IoStatus
 loadVersionedBundle(VersionedHintBundle &bundle,
                     const std::string &path)
 {
-    BinFile f(path, "rb");
-    if (!f.opened())
-        return IoStatus::missingFile(path);
-    uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.valid() || magic != kEpochMagic)
-        return IoStatus::corruptFile(
-            path, "bad magic (not a versioned bundle)");
-    if (version != kVersion)
-        return IoStatus::corruptFile(path,
-                                     "unsupported bundle version");
-
-    VersionedHintBundle loaded;
-    f.get(loaded.epoch);
-    f.get(loaded.validationAccuracy);
-    if (!f.valid())
-        return IoStatus::corruptFile(path, "truncated epoch header");
-    if (!getBundleBody(f, loaded.bundle))
-        return IoStatus::corruptFile(path,
-                                     "truncated or damaged bundle");
-    bundle = std::move(loaded);
-    return IoStatus::okStatus();
+    return loadArtifact(path, kEpochMagic, "versioned bundle", bundle,
+                        [](ByteReader &r, VersionedHintBundle &loaded) {
+                            getVersioned(r, loaded);
+                            return nullptr;
+                        });
 }
 
 std::vector<unsigned char>
 encodeVersionedBundle(const VersionedHintBundle &bundle)
 {
-    MemWriter w;
-    w.put(bundle.epoch);
-    w.put(bundle.validationAccuracy);
-    putBundleBody(w, bundle.bundle);
+    ByteWriter w;
+    putVersioned(w, bundle);
     return w.take();
 }
 
@@ -445,15 +282,10 @@ bool
 decodeVersionedBundle(VersionedHintBundle &bundle,
                       const unsigned char *data, size_t size)
 {
-    MemReader r(data, size);
+    ByteReader r(data, size);
     VersionedHintBundle loaded;
-    r.get(loaded.epoch);
-    r.get(loaded.validationAccuracy);
-    if (!r.valid())
-        return false;
-    if (!getBundleBody(r, loaded.bundle))
-        return false;
-    if (!r.exhausted()) // trailing garbage = damaged record
+    getVersioned(r, loaded);
+    if (!r.done())
         return false;
     bundle = std::move(loaded);
     return true;

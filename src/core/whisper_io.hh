@@ -5,17 +5,13 @@
  * Two artifact kinds cross process boundaries in a deployment
  * pipeline (paper Fig. 10): the collected profile (steps 1-2) and
  * the trained hint bundle (step 3, the inputs to binary rewriting).
- * Both get simple versioned binary formats so the CLI tools in
- * tools/ can split the flow across invocations.
+ * Each file is magic, version, body, written with util/byte_codec;
+ * a load rejects any byte the body does not account for.
  *
  * Load paths return IoStatus instead of bool so callers can tell a
  * missing file (regenerate it) from a corrupt one (raise an
- * incident); every size field is bounds-checked so a damaged or
- * hostile length can never drive an unbounded allocation.
- *
- * Versioned bundles can additionally be encoded to / decoded from a
- * memory buffer — the payload format of the hint-store journal,
- * which wraps each encoded bundle in its own CRC-framed record.
+ * incident). A versioned bundle's body is also the payload of a
+ * journal record and of a wire BUNDLE frame.
  */
 
 #ifndef WHISPER_CORE_WHISPER_IO_HH

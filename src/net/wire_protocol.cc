@@ -1,46 +1,20 @@
 #include "net/wire_protocol.hh"
 
-#include <cstring>
-
-#include "util/crc32.hh"
+#include "trace/branch_trace.hh"
 
 namespace whisper
 {
 
-namespace
-{
-
-void
-putU32(std::vector<unsigned char> &buf, uint32_t v)
-{
-    buf.push_back(static_cast<unsigned char>(v));
-    buf.push_back(static_cast<unsigned char>(v >> 8));
-    buf.push_back(static_cast<unsigned char>(v >> 16));
-    buf.push_back(static_cast<unsigned char>(v >> 24));
-}
-
-uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-}
-
-} // namespace
-
 std::vector<unsigned char>
 encodeFrame(WireOp op, const std::vector<unsigned char> &payload)
 {
-    std::vector<unsigned char> out;
-    out.reserve(WireFrame::kHeaderBytes + payload.size());
-    putU32(out, WireFrame::kMagic);
-    putU32(out, static_cast<uint32_t>(op));
-    putU32(out, static_cast<uint32_t>(payload.size()));
-    putU32(out, crc32(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    ByteWriter w;
+    w.reserve(WireFrame::kHeaderBytes + payload.size());
+    size_t mark = w.beginFrame(WireFrame::kFormat,
+                               static_cast<uint32_t>(op));
+    w.bytes(payload.data(), payload.size());
+    w.endFrame(WireFrame::kFormat, mark);
+    return w.take();
 }
 
 void
@@ -60,103 +34,23 @@ FrameParser::next(WireFrame &out)
                           static_cast<ptrdiff_t>(pos_));
         pos_ = 0;
     }
-    if (buffered() < WireFrame::kHeaderBytes)
-        return Result::NeedMore;
 
-    const unsigned char *hdr = buffer_.data() + pos_;
-    if (getU32(hdr) != WireFrame::kMagic)
+    const unsigned char *frame = buffer_.data() + pos_;
+    FrameHeader h;
+    FrameStatus st = readFrame(WireFrame::kFormat, frame, buffered(), h);
+    if (st == FrameStatus::Short)
+        return Result::NeedMore;
+    if (st == FrameStatus::BadMagic)
         return Result::BadMagic;
-    uint32_t op = getU32(hdr + 4);
-    uint32_t length = getU32(hdr + 8);
-    uint32_t crc = getU32(hdr + 12);
-    if (length > WireFrame::kMaxPayload)
+    if (st == FrameStatus::BadLength)
         return Result::TooLarge;
-    if (buffered() < WireFrame::kHeaderBytes + length)
-        return Result::NeedMore;
-
-    const unsigned char *payload = hdr + WireFrame::kHeaderBytes;
-    bool crcOk = crc32(payload, length) == crc;
-    if (crcOk) {
-        out.op = static_cast<WireOp>(op);
-        out.payload.assign(payload, payload + length);
-    }
-    pos_ += WireFrame::kHeaderBytes + length;
-    return crcOk ? Result::Frame : Result::BadCrc;
-}
-
-// ---- WireWriter / WireReader -------------------------------------
-
-void
-WireWriter::u32(uint32_t v)
-{
-    putU32(buf_, v);
-}
-
-void
-WireWriter::u64(uint64_t v)
-{
-    putU32(buf_, static_cast<uint32_t>(v));
-    putU32(buf_, static_cast<uint32_t>(v >> 32));
-}
-
-void
-WireWriter::str(const std::string &s)
-{
-    u32(static_cast<uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-}
-
-void
-WireWriter::bytes(const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    buf_.insert(buf_.end(), p, p + n);
-}
-
-uint32_t
-WireReader::u32()
-{
-    if (!ok_ || size_ - pos_ < 4) {
-        ok_ = false;
-        return 0;
-    }
-    uint32_t v = getU32(data_ + pos_);
-    pos_ += 4;
-    return v;
-}
-
-uint64_t
-WireReader::u64()
-{
-    uint64_t lo = u32();
-    uint64_t hi = u32();
-    return lo | hi << 32;
-}
-
-std::string
-WireReader::str()
-{
-    uint32_t len = u32();
-    if (!ok_ || len > WireFrame::kMaxString ||
-        size_ - pos_ < len) {
-        ok_ = false;
-        return {};
-    }
-    std::string s(reinterpret_cast<const char *>(data_ + pos_), len);
-    pos_ += len;
-    return s;
-}
-
-bool
-WireReader::bytes(void *out, size_t n)
-{
-    if (!ok_ || size_ - pos_ < n) {
-        ok_ = false;
-        return false;
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
+    pos_ += WireFrame::kHeaderBytes + h.length; // consumed either way
+    if (st == FrameStatus::BadCrc)
+        return Result::BadCrc;
+    const unsigned char *payload = frame + WireFrame::kHeaderBytes;
+    out.op = static_cast<WireOp>(h.tag);
+    out.payload.assign(payload, payload + h.length);
+    return Result::Frame;
 }
 
 // ---- typed messages ----------------------------------------------
@@ -164,22 +58,16 @@ WireReader::bytes(void *out, size_t n)
 std::vector<unsigned char>
 encodeHello(const HelloMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
     w.u32(m.version);
     w.str(m.client);
     return w.take();
 }
 
-std::vector<unsigned char>
-encodeHelloOk(const HelloMsg &m)
-{
-    return encodeHello(m);
-}
-
 bool
 decodeHello(const std::vector<unsigned char> &p, HelloMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.version = r.u32();
     m.client = r.str();
     return r.done();
@@ -188,14 +76,15 @@ decodeHello(const std::vector<unsigned char> &p, HelloMsg &m)
 std::vector<unsigned char>
 encodeIngestChunk(const IngestChunkMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
+    w.reserve(24 + m.app.size() + m.stream.size() +
+              m.records.size() * sizeof(BranchRecord));
     w.str(m.app);
     w.str(m.stream);
     w.u32(m.inputId);
     w.u64(m.seq);
     w.u32(static_cast<uint32_t>(m.records.size()));
-    w.bytes(m.records.data(),
-            m.records.size() * sizeof(BranchRecord));
+    w.bytes(m.records.data(), m.records.size() * sizeof(BranchRecord));
     return w.take();
 }
 
@@ -203,7 +92,7 @@ bool
 decodeIngestChunk(const std::vector<unsigned char> &p,
                   IngestChunkMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.app = r.str();
     m.stream = r.str();
     m.inputId = r.u32();
@@ -216,13 +105,13 @@ decodeIngestChunk(const std::vector<unsigned char> &p,
     }
     m.records.resize(count);
     return r.bytes(m.records.data(), count * sizeof(BranchRecord)) &&
-           r.done();
+           validRecords(m.records.data(), count);
 }
 
 std::vector<unsigned char>
 encodeChunkAck(const ChunkAckMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
     w.u64(m.seq);
     w.u32(m.status);
     return w.take();
@@ -231,7 +120,7 @@ encodeChunkAck(const ChunkAckMsg &m)
 bool
 decodeChunkAck(const std::vector<unsigned char> &p, ChunkAckMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.seq = r.u64();
     m.status = r.u32();
     return r.done();
@@ -240,7 +129,7 @@ decodeChunkAck(const std::vector<unsigned char> &p, ChunkAckMsg &m)
 std::vector<unsigned char>
 encodeRetryAfter(const RetryAfterMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
     w.u64(m.seq);
     w.u32(m.waitMs);
     return w.take();
@@ -250,7 +139,7 @@ bool
 decodeRetryAfter(const std::vector<unsigned char> &p,
                  RetryAfterMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.seq = r.u64();
     m.waitMs = r.u32();
     return r.done();
@@ -259,7 +148,7 @@ decodeRetryAfter(const std::vector<unsigned char> &p,
 std::vector<unsigned char>
 encodePullBundle(const PullBundleMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
     w.str(m.app);
     w.u64(m.cachedEpoch);
     return w.take();
@@ -269,7 +158,7 @@ bool
 decodePullBundle(const std::vector<unsigned char> &p,
                  PullBundleMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.app = r.str();
     m.cachedEpoch = r.u64();
     return r.done();
@@ -278,7 +167,7 @@ decodePullBundle(const std::vector<unsigned char> &p,
 std::vector<unsigned char>
 encodeBundleUnchanged(uint64_t epoch)
 {
-    WireWriter w;
+    ByteWriter w;
     w.u64(epoch);
     return w.take();
 }
@@ -287,7 +176,7 @@ bool
 decodeBundleUnchanged(const std::vector<unsigned char> &p,
                       uint64_t &epoch)
 {
-    WireReader r(p);
+    ByteReader r(p);
     epoch = r.u64();
     return r.done();
 }
@@ -295,7 +184,7 @@ decodeBundleUnchanged(const std::vector<unsigned char> &p,
 std::vector<unsigned char>
 encodeError(const ErrorMsg &m)
 {
-    WireWriter w;
+    ByteWriter w;
     w.u32(static_cast<uint32_t>(m.code));
     w.str(m.message);
     return w.take();
@@ -304,7 +193,7 @@ encodeError(const ErrorMsg &m)
 bool
 decodeError(const std::vector<unsigned char> &p, ErrorMsg &m)
 {
-    WireReader r(p);
+    ByteReader r(p);
     m.code = static_cast<WireError>(r.u32());
     m.message = r.str();
     return r.done();

@@ -1,22 +1,14 @@
 /**
  * @file
- * The whisperd wire protocol: length-prefixed, CRC32-framed binary
- * messages over TCP.
+ * The whisperd wire protocol: CRC32-framed binary messages over TCP.
  *
- * Frame grammar (all integers little-endian, matching the .whrt
- * on-disk byte order):
- *
- *   frame   := magic:u32 opcode:u32 length:u32 crc:u32 payload
- *   magic   := 0x5746524D ("WFRM")
- *   length  := payload bytes (<= kMaxPayload, hostile lengths are a
- *              protocol error, never an allocation)
- *   crc     := CRC32 of the payload bytes — the same IEEE CRC32 the
- *              .whrt v2 trace frames and the hint-store journal use
- *
- * Message payloads (str := len:u32 bytes, capped at kMaxString):
+ * A frame is a util/byte_codec CRC frame (magic "WFRM", the opcode as
+ * its tag word, length in payload bytes up to kMaxPayload: a larger
+ * length is a protocol error, never an allocation). Payloads use the
+ * same codec (str := len:u32 bytes, at most ByteReader::kMaxString):
  *
  *   HELLO            ver:u32 client:str
- *   HELLO_OK         ver:u32 server:str
+ *   HELLO_OK         ver:u32 server:str     (HELLO's layout)
  *   INGEST_CHUNK     app:str stream:str inputId:u32 seq:u64
  *                    count:u32 records[count]   (raw BranchRecord
  *                    array, exactly the .whrt v2 frame payload)
@@ -50,6 +42,7 @@
 
 #include "core/whisper_io.hh"
 #include "trace/branch_record.hh"
+#include "util/byte_codec.hh"
 
 namespace whisper
 {
@@ -82,8 +75,10 @@ struct WireFrame
 {
     static constexpr uint32_t kMagic = 0x5746524D; // "WFRM"
     static constexpr uint32_t kMaxPayload = 1u << 26;
-    static constexpr uint32_t kMaxString = 4096;
-    static constexpr size_t kHeaderBytes = 16;
+    /** The opcode is the frame's tag word; length counts bytes. */
+    static constexpr FrameFormat kFormat{kMagic, true, 1, kMaxPayload,
+                                         true};
+    static constexpr size_t kHeaderBytes = kFormat.headerBytes();
 
     WireOp op = WireOp::Error;
     std::vector<unsigned char> payload;
@@ -124,52 +119,6 @@ class FrameParser
   private:
     std::vector<unsigned char> buffer_;
     size_t pos_ = 0;
-};
-
-// ---- payload writers/readers -------------------------------------
-
-/** Bounds-checked little-endian payload writer. */
-class WireWriter
-{
-  public:
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void str(const std::string &s);
-    void bytes(const void *data, size_t n);
-    std::vector<unsigned char> take() { return std::move(buf_); }
-
-  private:
-    std::vector<unsigned char> buf_;
-};
-
-/** Bounds-checked payload reader; any overrun poisons the reader. */
-class WireReader
-{
-  public:
-    WireReader(const unsigned char *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
-    explicit WireReader(const std::vector<unsigned char> &payload)
-        : WireReader(payload.data(), payload.size())
-    {
-    }
-
-    uint32_t u32();
-    uint64_t u64();
-    std::string str();
-    bool bytes(void *out, size_t n);
-
-    bool ok() const { return ok_; }
-    /** ok() and every byte consumed. */
-    bool done() const { return ok_ && pos_ == size_; }
-    size_t remaining() const { return size_ - pos_; }
-
-  private:
-    const unsigned char *data_;
-    size_t size_;
-    size_t pos_ = 0;
-    bool ok_ = true;
 };
 
 // ---- typed messages ----------------------------------------------
@@ -216,7 +165,6 @@ struct ErrorMsg
 };
 
 std::vector<unsigned char> encodeHello(const HelloMsg &m);
-std::vector<unsigned char> encodeHelloOk(const HelloMsg &m);
 std::vector<unsigned char> encodeIngestChunk(const IngestChunkMsg &m);
 std::vector<unsigned char> encodeChunkAck(const ChunkAckMsg &m);
 std::vector<unsigned char> encodeRetryAfter(const RetryAfterMsg &m);

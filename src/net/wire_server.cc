@@ -391,7 +391,7 @@ WireServer::handleFrame(Connection &conn, const WireFrame &frame)
         }
         HelloMsg ok;
         ok.client = "whisperd";
-        sendFrame(conn, WireOp::HelloOk, encodeHelloOk(ok));
+        sendFrame(conn, WireOp::HelloOk, encodeHello(ok));
         return;
     }
     case WireOp::IngestChunk:

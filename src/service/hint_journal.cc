@@ -1,11 +1,9 @@
 #include "service/hint_journal.hh"
 
-#include <cstring>
-
 #include <unistd.h>
 
 #include "service/fault_injection.hh"
-#include "util/crc32.hh"
+#include "util/byte_codec.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -14,96 +12,55 @@ namespace whisper
 namespace
 {
 
-/** Parse the valid record prefix of an open journal stream.
- * @return bytes consumed by valid records (header excluded records
- * start after the 8-byte file header). */
-struct ReplayResult
+constexpr FrameFormat kRecordFrame{HintJournal::kRecordMagic, false, 1,
+                                   HintJournal::kMaxPayload, false};
+
+/** What a journal file holds: its valid record prefix. */
+struct Replayed
 {
+    bool headerOk = false; //!< file magic and version matched
     std::vector<VersionedHintBundle> bundles;
-    long validEnd = 0;     //!< offset just past the last valid record
-    bool sawGarbage = false;
+    HintJournal::RecoveryInfo info;
 };
 
-ReplayResult
-replayStream(std::FILE *f)
+Replayed
+replayFile(const std::string &path)
 {
-    ReplayResult result;
-    result.validEnd = std::ftell(f);
-
-    std::vector<unsigned char> payload;
-    for (;;) {
-        uint32_t magic = 0, len = 0, crc = 0;
-        if (std::fread(&magic, 1, sizeof(magic), f) != sizeof(magic))
-            break; // clean EOF or torn header
-        if (magic != HintJournal::kRecordMagic) {
-            result.sawGarbage = true;
-            break;
-        }
-        if (std::fread(&len, 1, sizeof(len), f) != sizeof(len) ||
-            std::fread(&crc, 1, sizeof(crc), f) != sizeof(crc)) {
-            result.sawGarbage = true;
-            break;
-        }
-        if (len == 0 || len > HintJournal::kMaxPayload) {
-            result.sawGarbage = true;
-            break;
-        }
-        payload.resize(len);
-        if (std::fread(payload.data(), 1, len, f) != len) {
-            result.sawGarbage = true; // torn mid-payload
-            break;
-        }
-        if (crc32(payload.data(), len) != crc) {
-            result.sawGarbage = true; // bit rot / torn overwrite
-            break;
-        }
+    Replayed out;
+    std::vector<unsigned char> bytes;
+    readFile(path, bytes); // a missing file replays as empty
+    ByteReader r(bytes);
+    out.headerOk = r.u32() == HintJournal::kFileMagic &&
+                   r.u32() == HintJournal::kVersion && r.ok();
+    // Records replay until the first one that is torn, damaged or
+    // undecodable; everything from there on is the tail to cut.
+    size_t validEnd = out.headerOk ? r.position() : 0;
+    while (out.headerOk && r.remaining() > 0) {
+        FrameHeader h;
+        const unsigned char *payload = r.frame(kRecordFrame, h);
         VersionedHintBundle bundle;
-        if (!decodeVersionedBundle(bundle, payload.data(), len)) {
-            result.sawGarbage = true;
+        if (!payload || !decodeVersionedBundle(bundle, payload, h.length))
             break;
-        }
-        result.bundles.push_back(std::move(bundle));
-        result.validEnd = std::ftell(f);
+        out.bundles.push_back(std::move(bundle));
+        validEnd = r.position();
     }
-    return result;
+    out.info = {out.bundles.size(), bytes.size() - validEnd, false};
+    return out;
 }
 
-bool
-writeHeader(std::FILE *f)
+void
+putRecord(ByteWriter &w, const VersionedHintBundle &bundle)
 {
-    uint32_t magic = HintJournal::kFileMagic;
-    uint32_t version = HintJournal::kVersion;
-    return std::fwrite(&magic, 1, sizeof(magic), f) ==
-               sizeof(magic) &&
-           std::fwrite(&version, 1, sizeof(version), f) ==
-               sizeof(version);
+    size_t mark = w.beginFrame(kRecordFrame);
+    std::vector<unsigned char> payload = encodeVersionedBundle(bundle);
+    w.bytes(payload.data(), payload.size());
+    w.endFrame(kRecordFrame, mark);
 }
 
 bool
 syncFile(std::FILE *f)
 {
     return std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-}
-
-std::vector<unsigned char>
-frameRecord(const VersionedHintBundle &bundle)
-{
-    std::vector<unsigned char> payload =
-        encodeVersionedBundle(bundle);
-    std::vector<unsigned char> record;
-    record.reserve(12 + payload.size());
-    uint32_t magic = HintJournal::kRecordMagic;
-    uint32_t len = static_cast<uint32_t>(payload.size());
-    uint32_t crc = crc32(payload.data(), payload.size());
-    auto putU32 = [&](uint32_t v) {
-        const auto *p = reinterpret_cast<const unsigned char *>(&v);
-        record.insert(record.end(), p, p + sizeof(v));
-    };
-    putU32(magic);
-    putU32(len);
-    putU32(crc);
-    record.insert(record.end(), payload.begin(), payload.end());
-    return record;
 }
 
 } // namespace
@@ -128,61 +85,27 @@ HintJournal::open(const std::string &path,
                   RecoveryInfo *info)
 {
     close();
-    out.clear();
-    path_ = path;
-    RecoveryInfo local;
+    Replayed replayed = replayFile(path);
+    out = std::move(replayed.bundles);
+    RecoveryInfo local = replayed.info;
 
-    std::FILE *existing = std::fopen(path.c_str(), "rb");
-    bool needCompact = false;
-    long fileEnd = 0;
-    long validEnd = 0;
-    if (existing) {
-        uint32_t magic = 0, version = 0;
-        bool headerOk =
-            std::fread(&magic, 1, sizeof(magic), existing) ==
-                sizeof(magic) &&
-            std::fread(&version, 1, sizeof(version), existing) ==
-                sizeof(version) &&
-            magic == kFileMagic && version == kVersion;
-        if (headerOk) {
-            ReplayResult replayed = replayStream(existing);
-            out = std::move(replayed.bundles);
-            validEnd = replayed.validEnd;
-            std::fseek(existing, 0, SEEK_END);
-            fileEnd = std::ftell(existing);
-            needCompact = replayed.sawGarbage || validEnd != fileEnd;
-        } else {
-            // Header unreadable: nothing salvageable; start fresh.
-            std::fseek(existing, 0, SEEK_END);
-            fileEnd = std::ftell(existing);
-            needCompact = fileEnd != 0;
-        }
-        std::fclose(existing);
-        local.tailBytesDiscarded =
-            static_cast<size_t>(fileEnd - validEnd);
-        local.recordsRecovered = out.size();
-    } else {
-        needCompact = true; // no file yet: write a fresh one
-    }
-
-    if (needCompact) {
-        // Rewrite the surviving prefix through a temp file and
-        // atomically rename it into place, so a crash during
-        // compaction leaves either the old file or the new one —
-        // never a half-written hybrid.
+    // Anything but a clean header plus whole records (including no
+    // file yet, or an empty one) is rewritten from the surviving
+    // prefix through a temp file and an atomic rename, so a crash
+    // during compaction leaves either the old file or the new one —
+    // never a half-written hybrid.
+    if (!replayed.headerOk || local.tailBytesDiscarded > 0) {
+        ByteWriter w;
+        w.u32(kFileMagic);
+        w.u32(kVersion);
+        for (const VersionedHintBundle &bundle : out)
+            putRecord(w, bundle);
         std::string tmp = path + ".tmp";
         std::FILE *nf = std::fopen(tmp.c_str(), "wb");
         if (!nf)
             return IoStatus::missingFile(tmp);
-        bool ok = writeHeader(nf);
-        for (const VersionedHintBundle &bundle : out) {
-            if (!ok)
-                break;
-            std::vector<unsigned char> record = frameRecord(bundle);
-            ok = std::fwrite(record.data(), 1, record.size(), nf) ==
-                 record.size();
-        }
-        ok = ok && syncFile(nf);
+        bool ok = std::fwrite(w.data(), 1, w.size(), nf) == w.size() &&
+                  syncFile(nf);
         std::fclose(nf);
         if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
             std::remove(tmp.c_str());
@@ -221,7 +144,8 @@ HintJournal::append(const VersionedHintBundle &bundle)
         ++repairs_;
     }
 
-    std::vector<unsigned char> record = frameRecord(bundle);
+    ByteWriter record;
+    putRecord(record, bundle);
     uint64_t index = appends_++;
 
     size_t toWrite = record.size();
@@ -248,34 +172,10 @@ HintJournal::append(const VersionedHintBundle &bundle)
 std::vector<VersionedHintBundle>
 HintJournal::replay(const std::string &path, RecoveryInfo *info)
 {
-    std::vector<VersionedHintBundle> out;
-    RecoveryInfo local;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        if (info)
-            *info = local;
-        return out;
-    }
-    uint32_t magic = 0, version = 0;
-    bool headerOk =
-        std::fread(&magic, 1, sizeof(magic), f) == sizeof(magic) &&
-        std::fread(&version, 1, sizeof(version), f) ==
-            sizeof(version) &&
-        magic == kFileMagic && version == kVersion;
-    if (headerOk) {
-        ReplayResult replayed = replayStream(f);
-        out = std::move(replayed.bundles);
-        long fileEnd = 0;
-        std::fseek(f, 0, SEEK_END);
-        fileEnd = std::ftell(f);
-        local.tailBytesDiscarded =
-            static_cast<size_t>(fileEnd - replayed.validEnd);
-        local.recordsRecovered = out.size();
-    }
-    std::fclose(f);
+    Replayed replayed = replayFile(path);
     if (info)
-        *info = local;
-    return out;
+        *info = replayed.info;
+    return std::move(replayed.bundles);
 }
 
 } // namespace whisper

@@ -2,17 +2,16 @@
  * @file
  * Crash-safe write-ahead journal for the versioned hint store.
  *
- * Every accepted deployment (and rollback) is appended as one
- * self-checking record — record magic, payload length, payload CRC32,
- * then the encoded VersionedHintBundle — written with a single
- * fwrite and made durable with fflush+fsync before the append
- * returns. A crash can therefore only ever produce a torn *tail*:
- * on open() the journal replays records until the first one that
- * fails validation, discards everything from there on, and compacts
- * the surviving prefix through a temp file + atomic rename so the
- * file on disk is valid again. whisperd feeds the replayed bundles
- * into HintStore::restore() and resumes from the last intact epoch
- * instead of epoch 0.
+ * Every accepted deployment (and rollback) is appended as one CRC
+ * frame (util/byte_codec) holding the encoded VersionedHintBundle,
+ * written with a single fwrite and made durable with fflush+fsync
+ * before the append returns. A crash can therefore only ever produce
+ * a torn *tail*: on open() the journal replays records until the
+ * first one that fails validation, discards everything from there
+ * on, and compacts the surviving prefix through a temp file + atomic
+ * rename so the file on disk is valid again. whisperd feeds the
+ * replayed bundles into HintStore::restore() and resumes from the
+ * last intact epoch instead of epoch 0.
  *
  * A torn append observed *in-process* (injected via
  * `truncate-journal`, or a real ENOSPC) is self-healed: the next
@@ -75,10 +74,7 @@ class HintJournal
     bool append(const VersionedHintBundle &bundle);
 
     void close();
-    bool isOpen() const { return file_ != nullptr; }
-    const std::string &path() const { return path_; }
 
-    uint64_t appends() const { return appends_; }
     uint64_t appendFailures() const { return appendFailures_; }
     uint64_t repairs() const { return repairs_; }
 
@@ -88,7 +84,6 @@ class HintJournal
 
   private:
     std::FILE *file_ = nullptr;
-    std::string path_;
     /** End of the last fully validated/durable record. */
     long goodOffset_ = 0;
     /** A previous append tore; truncate before the next one. */

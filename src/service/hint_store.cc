@@ -9,13 +9,12 @@ void
 HintStore::publish(std::shared_ptr<const VersionedHintBundle> next)
 {
     if (journal_ && !journal_->append(*next)) {
-        journalFailures_.fetch_add(1, std::memory_order_relaxed);
         whisper_warn("hint store: journal append failed for epoch ",
                      next->epoch, " (deployment proceeds, durability "
                      "degraded)");
     }
-    current_.store(next, std::memory_order_release);
     std::lock_guard<std::mutex> lock(historyMutex_);
+    current_ = next;
     history_.push_back(std::move(next));
 }
 
@@ -38,11 +37,11 @@ HintStore::restore(std::vector<VersionedHintBundle> history)
     if (restored.empty())
         return 0;
 
-    whisper_assert(!current_.load() && generations() == 0,
-                   "restore() must precede any deployment");
-    current_.store(restored.back(), std::memory_order_release);
-    nextEpoch_.store(lastEpoch + 1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(historyMutex_);
+    whisper_assert(!current_ && history_.empty(),
+                   "restore() must precede any deployment");
+    current_ = restored.back();
+    nextEpoch_.store(lastEpoch + 1, std::memory_order_relaxed);
     history_ = std::move(restored);
     return history_.size();
 }

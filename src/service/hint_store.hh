@@ -3,12 +3,13 @@
  * Versioned hint-bundle store: whisperd's deployment point.
  *
  * The consumer side (a simulated fleet, or the adaptive runner in
- * sim/runner) reads the currently deployed bundle wait-free through
- * an RCU-style std::atomic<std::shared_ptr>: readers pin whatever
- * generation they observed and keep using it while the trainer
- * publishes the next one. Epochs increase monotonically with every
- * deployment (including rollbacks, which re-publish an old payload
- * under a new epoch).
+ * sim/runner) takes a shared_ptr snapshot of the deployed bundle
+ * under a mutex, RCU-style: readers pin whatever generation they
+ * observed and keep using it while the trainer publishes the next
+ * one. Readers look once per epoch or per bundle pull, so the lock
+ * is never on a per-record path. Epochs increase monotonically with
+ * every deployment (including rollbacks, which re-publish an old
+ * payload under a new epoch).
  *
  * Deployment is guarded: a candidate bundle must beat the incumbent
  * on a held-out validation window or it is rejected — the
@@ -54,16 +55,12 @@ class HintStore
      * restored generations are NOT re-journaled. */
     void attachJournal(HintJournal *journal);
 
-    /** Appends that failed (deployment stays up, durability is
-     * degraded until the journal self-heals). */
-    uint64_t journalFailures() const { return journalFailures_.load(); }
-
-    /** Currently deployed bundle; nullptr before any deployment.
-     * Wait-free for readers. */
+    /** Currently deployed bundle; nullptr before any deployment. */
     Snapshot
     current() const
     {
-        return current_.load(std::memory_order_acquire);
+        std::lock_guard<std::mutex> lock(historyMutex_);
+        return current_;
     }
 
     /** Epoch of the deployed bundle (0 = nothing deployed). */
@@ -105,10 +102,9 @@ class HintStore
   private:
     void publish(std::shared_ptr<const VersionedHintBundle> next);
 
-    std::atomic<std::shared_ptr<const VersionedHintBundle>> current_{
-        nullptr};
-
+    /** Guards current_ and history_. */
     mutable std::mutex historyMutex_;
+    Snapshot current_;
     std::vector<Snapshot> history_;
 
     std::atomic<uint64_t> nextEpoch_{1};
@@ -117,7 +113,6 @@ class HintStore
     std::atomic<uint64_t> rollbacks_{0};
 
     HintJournal *journal_ = nullptr;
-    std::atomic<uint64_t> journalFailures_{0};
 };
 
 /**

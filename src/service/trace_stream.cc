@@ -6,8 +6,6 @@
 #include <filesystem>
 
 #include "service/fault_injection.hh"
-#include "trace/branch_trace.hh"
-#include "util/crc32.hh"
 
 namespace whisper
 {
@@ -19,41 +17,18 @@ TraceStreamReader::TraceStreamReader(const std::string &path)
         status_ = IoStatus::missingFile(path);
         return;
     }
-
-    bool ok = true;
-    auto get = [&](void *p, size_t n) {
-        if (ok && std::fread(p, 1, n, file_) != n)
-            ok = false;
-    };
-    auto reject = [&](const char *why) {
+    unsigned char buf[TraceHeader::kMaxBytes];
+    ByteReader r(buf, std::fread(buf, 1, sizeof(buf), file_));
+    const char *why = header_.get(r);
+    if (!why && std::fseek(file_, static_cast<long>(r.position()),
+                           SEEK_SET) != 0) {
+        why = "unseekable file";
+    }
+    if (why) {
         std::fclose(file_);
         file_ = nullptr;
         status_ = IoStatus::corruptFile(path_, why);
-    };
-
-    uint32_t magic = 0;
-    get(&magic, sizeof(magic));
-    get(&version_, sizeof(version_));
-    uint32_t nameLen = 0;
-    get(&nameLen, sizeof(nameLen));
-    if (!ok || magic != BranchTrace::kFileMagic) {
-        reject("bad magic (not a .whrt trace)");
-        return;
     }
-    if (version_ != 1 && version_ != BranchTrace::kFileVersion) {
-        reject("unsupported format version");
-        return;
-    }
-    if (nameLen > 4096) {
-        reject("oversized app-name length field");
-        return;
-    }
-    app_.assign(nameLen, '\0');
-    get(app_.data(), nameLen);
-    get(&inputId_, sizeof(inputId_));
-    get(&recordsTotal_, sizeof(recordsTotal_));
-    if (!ok)
-        reject("truncated header");
 }
 
 TraceStreamReader::~TraceStreamReader()
@@ -99,9 +74,9 @@ TraceStreamReader::finishStream(bool corrupt)
     // Records the header promised but we never delivered were lost
     // to skipped/torn frames; keep whichever count is larger (frame
     // counts are exact, the header remainder covers torn tails).
-    if (recordsTotal_ > recordsRead_) {
+    if (header_.records > recordsRead_) {
         recordsSkipped_ = std::max(recordsSkipped_,
-                                   recordsTotal_ - recordsRead_);
+                                   header_.records - recordsRead_);
     }
     if (corrupt && status_.ok())
         status_ = IoStatus::corruptFile(path_, "truncated record "
@@ -109,17 +84,12 @@ TraceStreamReader::finishStream(bool corrupt)
 }
 
 bool
-TraceStreamReader::resyncToFrameMagic()
+TraceStreamReader::resyncToFrameMagic(long from)
 {
-    // The 4 bytes just read were not a frame magic; rescan from one
-    // byte after that point, overlapping block reads so a magic
-    // spanning block boundaries is still found.
-    long base = std::ftell(file_);
-    if (base < 0)
-        return false;
-    long pos = base - 3;
-    const long limit =
-        pos + static_cast<long>(kResyncWindowBytes);
+    // Overlapping block reads, so a magic spanning a block boundary
+    // is still found.
+    long pos = from;
+    const long limit = pos + static_cast<long>(kResyncWindowBytes);
     unsigned char buf[4096];
     while (pos < limit) {
         if (std::fseek(file_, pos, SEEK_SET) != 0)
@@ -141,62 +111,51 @@ TraceStreamReader::resyncToFrameMagic()
     return false;
 }
 
-TraceStreamReader::FrameResult
+bool
 TraceStreamReader::loadNextFrame()
 {
+    constexpr const FrameFormat &kFrame = BranchTrace::kFrame;
+    framePos_ = 0;
     for (;;) {
-        uint32_t magic = 0;
-        size_t got = readWithRetry(&magic, sizeof(magic));
+        frame_.clear(); // never serve a damaged frame
+        long start = std::ftell(file_);
+        unsigned char raw[kFrame.headerBytes()];
+        size_t got = readWithRetry(raw, sizeof(raw));
+        FrameHeader h;
+        FrameStatus st = readFrameHeader(kFrame, raw, got, h);
         if (got == 0)
-            return FrameResult::EndOfStream; // clean EOF
-        if (got < sizeof(magic)) {
+            return false; // clean EOF
+        if (st == FrameStatus::Short) {
             ++framesSkipped_; // torn tail
-            return FrameResult::EndOfStream;
+            return false;
         }
-        if (magic != BranchTrace::kFrameMagic) {
-            // Damaged frame header: scan for the next frame.
+        if (st != FrameStatus::Ok) {
+            // Damaged magic or a hostile/smashed length field: never
+            // allocate it, scan for the next frame instead.
             ++framesSkipped_;
-            if (!resyncToFrameMagic())
-                return FrameResult::EndOfStream;
+            if (start < 0 || !resyncToFrameMagic(start + 1))
+                return false;
             continue;
         }
 
-        uint32_t count = 0, crc = 0;
-        if (readWithRetry(&count, sizeof(count)) != sizeof(count) ||
-            readWithRetry(&crc, sizeof(crc)) != sizeof(crc)) {
-            ++framesSkipped_; // torn mid-header
-            return FrameResult::EndOfStream;
+        frame_.resize(h.length);
+        bool torn = readWithRetry(frame_.data(), h.payloadBytes) !=
+                    h.payloadBytes;
+        if (!torn)
+            FaultInjector::instance().corruptFrame(frame_.data(),
+                                                   h.payloadBytes);
+        if (!torn && frameCrcOk(h, frame_.data()) &&
+            validRecords(frame_.data(), frame_.size())) {
+            return true;
         }
-        if (count == 0 || count > BranchTrace::kMaxFrameRecords) {
-            // Hostile or smashed length field: never allocate it.
-            ++framesSkipped_;
-            if (!resyncToFrameMagic())
-                return FrameResult::EndOfStream;
-            continue;
+        // Bit rot or an overwritten frame: drop it and keep going; a
+        // torn payload is the end of the stream.
+        ++framesSkipped_;
+        recordsSkipped_ += h.length;
+        if (torn) {
+            frame_.clear();
+            return false;
         }
-
-        frame_.resize(count);
-        size_t bytes = count * sizeof(BranchRecord);
-        if (readWithRetry(frame_.data(), bytes) != bytes) {
-            ++framesSkipped_; // torn mid-payload
-            recordsSkipped_ += count;
-            frame_.clear(); // never serve the partial frame
-            framePos_ = 0;
-            return FrameResult::EndOfStream;
-        }
-
-        FaultInjector::instance().corruptFrame(frame_.data(), bytes);
-
-        if (crc32(frame_.data(), bytes) != crc) {
-            // Bit rot or an overwritten frame: drop it, keep going.
-            ++framesSkipped_;
-            recordsSkipped_ += count;
-            frame_.clear(); // never serve the damaged frame
-            framePos_ = 0;
-            continue;
-        }
-        framePos_ = 0;
-        return FrameResult::Loaded;
     }
 }
 
@@ -208,27 +167,27 @@ TraceStreamReader::readChunk(std::vector<BranchRecord> &out,
     if (!file_ || maxRecords == 0)
         return 0;
 
-    if (version_ == 1) {
-        // Legacy raw array: bounded read, short file = corrupt.
-        if (recordsRead_ >= recordsTotal_) {
+    if (header_.version == 1) {
+        // Legacy raw array: bounded read, short or invalid = corrupt.
+        if (recordsRead_ >= header_.records) {
             finishStream(false);
             return 0;
         }
         size_t want = static_cast<size_t>(std::min<uint64_t>(
-            maxRecords, recordsTotal_ - recordsRead_));
+            maxRecords, header_.records - recordsRead_));
         out.resize(want);
         size_t got = std::fread(out.data(), sizeof(BranchRecord),
                                 want, file_);
-        out.resize(got);
-        recordsRead_ += got;
-        if (got < want)
+        out.resize(validRecords(out.data(), got) ? got : 0);
+        recordsRead_ += out.size();
+        if (out.size() < want)
             finishStream(true);
-        return got;
+        return out.size();
     }
 
     while (out.size() < maxRecords) {
         if (framePos_ >= frame_.size()) {
-            if (loadNextFrame() == FrameResult::EndOfStream) {
+            if (!loadNextFrame()) {
                 if (out.empty())
                     finishStream(false);
                 break;
@@ -291,7 +250,6 @@ ChunkIngestor::produce()
             chunk.inputId = reader.inputId();
             chunk.sourceFile = file;
             recordsIngested_ += chunk.records.size();
-            ++chunksProduced_;
             if (!queue_.push(std::move(chunk))) {
                 framesSkipped_ += reader.framesSkipped();
                 recordsSkipped_ += reader.recordsSkipped();

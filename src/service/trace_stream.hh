@@ -10,14 +10,10 @@
  * TraceChunks.
  *
  * The reader is hardened against the inputs production actually
- * delivers: version-2 traces are CRC32-framed, and a frame that
- * fails its checksum (bit rot, torn write, fault injection) is
- * skipped and counted instead of poisoning the profile or killing
- * the stream; a damaged frame header triggers a bounded resync scan
- * for the next frame magic; transient short reads are retried with
- * exponential backoff; and every length field is hard-capped so a
- * corrupt (or hostile) size can never drive an unbounded
- * allocation.
+ * delivers: a v2 frame that fails its CRC (bit rot, torn write,
+ * fault injection) is skipped and counted, a damaged frame header
+ * triggers a bounded resync scan for the next frame magic, and
+ * transient short reads are retried with exponential backoff.
  */
 
 #ifndef WHISPER_SERVICE_TRACE_STREAM_HH
@@ -33,6 +29,7 @@
 #include "service/bounded_queue.hh"
 #include "trace/branch_record.hh"
 #include "trace/branch_source.hh"
+#include "trace/branch_trace.hh"
 #include "util/io_status.hh"
 
 namespace whisper
@@ -99,13 +96,10 @@ class TraceStreamReader
     /** Why the header was rejected (missing vs corrupt). */
     const IoStatus &status() const { return status_; }
 
-    const std::string &app() const { return app_; }
-    uint32_t inputId() const { return inputId_; }
-    const std::string &path() const { return path_; }
-
-    /** Records the header promises / already delivered. */
-    uint64_t recordsTotal() const { return recordsTotal_; }
-    uint64_t recordsRead() const { return recordsRead_; }
+    const std::string &app() const { return header_.app; }
+    uint32_t inputId() const { return header_.inputId; }
+    /** Records the header promises. */
+    uint64_t recordsTotal() const { return header_.records; }
 
     /** Damaged frames dropped (CRC mismatch, bad header, torn
      * tail). */
@@ -126,15 +120,12 @@ class TraceStreamReader
                      size_t maxRecords);
 
   private:
-    /** Outcome of trying to buffer the next v2 frame. */
-    enum class FrameResult
-    {
-        Loaded,
-        EndOfStream,
-    };
-
-    FrameResult loadNextFrame();
-    bool resyncToFrameMagic();
+    /** Buffer the next valid v2 frame in frame_, skipping damaged
+     * ones. @return false at the end of the stream. */
+    bool loadNextFrame();
+    /** Scan forward from @p from for the next frame magic and seek
+     * to it. @return false at EOF or past kResyncWindowBytes. */
+    bool resyncToFrameMagic(long from);
     /** fread with bounded retry/backoff on transient errors; returns
      * bytes actually read (< @p n only on EOF or hard error). */
     size_t readWithRetry(void *p, size_t n);
@@ -143,10 +134,7 @@ class TraceStreamReader
     std::string path_;
     std::FILE *file_ = nullptr;
     IoStatus status_;
-    uint32_t version_ = 0;
-    std::string app_;
-    uint32_t inputId_ = 0;
-    uint64_t recordsTotal_ = 0;
+    TraceHeader header_;
     uint64_t recordsRead_ = 0;
 
     std::vector<BranchRecord> frame_; //!< validated v2 frame buffer
@@ -183,7 +171,6 @@ class ChunkIngestor
     void join();
 
     uint64_t filesIngested() const { return filesIngested_; }
-    uint64_t chunksProduced() const { return chunksProduced_; }
     uint64_t recordsIngested() const { return recordsIngested_; }
     /** Damaged frames skipped across all files. */
     uint64_t framesSkipped() const { return framesSkipped_; }
@@ -209,7 +196,6 @@ class ChunkIngestor
     std::thread thread_;
 
     uint64_t filesIngested_ = 0;
-    uint64_t chunksProduced_ = 0;
     uint64_t recordsIngested_ = 0;
     uint64_t framesSkipped_ = 0;
     uint64_t recordsSkipped_ = 0;

@@ -1,9 +1,8 @@
 #include "trace/branch_trace.hh"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
-#include <cstring>
-
-#include "util/crc32.hh"
 
 namespace whisper
 {
@@ -11,12 +10,55 @@ namespace whisper
 namespace
 {
 
-constexpr uint32_t kMagic = BranchTrace::kFileMagic;
-constexpr uint32_t kVersion = BranchTrace::kFileVersion;
-constexpr uint32_t kFrameMagic = BranchTrace::kFrameMagic;
-constexpr uint32_t kMaxFrameRecords = BranchTrace::kMaxFrameRecords;
+// save() zeroes the tail padding after instGap.
+constexpr size_t kPadAt = offsetof(BranchRecord, instGap) + 2;
+static_assert(sizeof(BranchRecord) == 24 && kPadAt == 20);
+
+/** Why load() rejects a frame, by FrameStatus. */
+const char *const kFrameErrors[] = {
+    "", "truncated frame", "bad frame header",
+    "frame record count out of bounds", "frame CRC mismatch"};
 
 } // namespace
+
+void
+TraceHeader::put(ByteWriter &w) const
+{
+    w.u32(BranchTrace::kFileMagic);
+    w.u32(version);
+    w.str(app);
+    w.u32(inputId);
+    w.u64(records);
+}
+
+const char *
+TraceHeader::get(ByteReader &r)
+{
+    uint32_t magic = r.u32();
+    version = r.u32();
+    if (!r.ok() || magic != BranchTrace::kFileMagic)
+        return "bad magic (not a .whrt trace)";
+    if (version != 1 && version != BranchTrace::kFileVersion)
+        return "unsupported format version";
+    app = r.str();
+    inputId = r.u32();
+    records = r.u64();
+    return r.ok() ? nullptr : "truncated header or oversized app name";
+}
+
+bool
+validRecords(const BranchRecord *records, size_t n)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(records);
+    for (size_t i = 0; i < n; ++i, p += sizeof(BranchRecord)) {
+        if (p[offsetof(BranchRecord, kind)] >
+                static_cast<uint8_t>(BranchKind::Indirect) ||
+            p[offsetof(BranchRecord, taken)] > 1) {
+            return false;
+        }
+    }
+    return true;
+}
 
 void
 BranchTrace::fill(BranchSource &source, uint64_t maxRecords)
@@ -33,143 +75,77 @@ BranchTrace::save(const std::string &path) const
     if (!f)
         return false;
 
+    // Written a frame at a time, so saving never doubles the trace's
+    // memory. Each frame checks independently: a reader can skip one
+    // damaged frame instead of losing the file.
+    ByteWriter w;
+    TraceHeader{kFileVersion, app_, inputId_, records_.size()}.put(w);
     bool ok = true;
-    auto put = [&](const void *p, size_t n) {
-        if (ok && std::fwrite(p, 1, n, f) != n)
-            ok = false;
-    };
-
-    uint32_t magic = kMagic, version = kVersion;
-    put(&magic, sizeof(magic));
-    put(&version, sizeof(version));
-    uint32_t nameLen = static_cast<uint32_t>(app_.size());
-    put(&nameLen, sizeof(nameLen));
-    put(app_.data(), nameLen);
-    put(&inputId_, sizeof(inputId_));
-    uint64_t n = records_.size();
-    put(&n, sizeof(n));
-
-    // CRC-framed record array: each frame checks independently, so a
-    // reader can skip one damaged frame instead of losing the file.
-    // Records are staged through a zeroed buffer because BranchRecord
-    // has tail padding; writing the structs raw would leak
-    // indeterminate bytes and make identical traces byte-different.
-    std::vector<BranchRecord> staged;
-    for (size_t at = 0; at < records_.size();
-         at += kDefaultFrameRecords) {
-        uint32_t count = static_cast<uint32_t>(
-            std::min<size_t>(kDefaultFrameRecords,
-                             records_.size() - at));
-        size_t bytes = count * sizeof(BranchRecord);
-        staged.resize(count);
-        std::memset(static_cast<void *>(staged.data()), 0, bytes);
-        for (uint32_t i = 0; i < count; ++i) {
-            const BranchRecord &rec = records_[at + i];
-            staged[i].pc = rec.pc;
-            staged[i].target = rec.target;
-            staged[i].kind = rec.kind;
-            staged[i].taken = rec.taken;
-            staged[i].instGap = rec.instGap;
+    for (size_t at = 0; at < records_.size() || w.size() > 0;) {
+        size_t count =
+            std::min<size_t>(kDefaultFrameRecords, records_.size() - at);
+        if (count > 0) {
+            size_t mark = w.beginFrame(kFrame);
+            w.bytes(records_.data() + at, count * sizeof(BranchRecord));
+            // Zero the padding: identical traces, identical files.
+            unsigned char *end = w.data() + w.size();
+            for (unsigned char *p = end - count * sizeof(BranchRecord);
+                 p < end; p += sizeof(BranchRecord))
+                std::memset(p + kPadAt, 0, sizeof(BranchRecord) - kPadAt);
+            w.endFrame(kFrame, mark);
         }
-        uint32_t crc = crc32(staged.data(), bytes);
-        uint32_t frameMagic = kFrameMagic;
-        put(&frameMagic, sizeof(frameMagic));
-        put(&count, sizeof(count));
-        put(&crc, sizeof(crc));
-        put(staged.data(), bytes);
+        ok = ok && std::fwrite(w.data(), 1, w.size(), f) == w.size();
+        w.clear();
+        at += count;
     }
-
-    std::fclose(f);
-    return ok;
+    return std::fclose(f) == 0 && ok;
 }
 
 IoStatus
 BranchTrace::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return IoStatus::missingFile(path);
-
-    bool ok = true;
-    auto get = [&](void *p, size_t n) {
-        if (ok && std::fread(p, 1, n, f) != n)
-            ok = false;
-    };
-    auto fail = [&](const char *why) {
-        std::fclose(f);
+    std::vector<unsigned char> bytes;
+    if (IoStatus st = readFile(path, bytes); !st)
+        return st;
+    ByteReader r(bytes);
+    TraceHeader header;
+    if (const char *why = header.get(r))
         return IoStatus::corruptFile(path, why);
-    };
+    // Every record takes at least sizeof(BranchRecord) bytes, so a
+    // corrupt (or hostile) count errors out instead of allocating.
+    if (!r.fits(header.records, sizeof(BranchRecord)))
+        return IoStatus::corruptFile(path,
+                                     "record count exceeds file size");
 
-    uint32_t magic = 0, version = 0;
-    get(&magic, sizeof(magic));
-    get(&version, sizeof(version));
-    if (!ok || magic != kMagic)
-        return fail("bad magic (not a .whrt trace)");
-    if (version != 1 && version != kVersion)
-        return fail("unsupported format version");
-
-    uint32_t nameLen = 0;
-    get(&nameLen, sizeof(nameLen));
-    if (!ok || nameLen > 4096)
-        return fail("oversized app-name length field");
-    std::string name(nameLen, '\0');
-    get(name.data(), nameLen);
-    uint32_t inputId = 0;
-    get(&inputId, sizeof(inputId));
-    uint64_t n = 0;
-    get(&n, sizeof(n));
-    if (!ok)
-        return fail("truncated header");
-
-    // Cap the claimed record count by what the file can actually
-    // hold, so a corrupted (or hostile) length field errors out
-    // instead of driving a multi-gigabyte allocation.
-    long bodyStart = std::ftell(f);
-    if (bodyStart < 0 || std::fseek(f, 0, SEEK_END) != 0)
-        return fail("unseekable file");
-    long fileEnd = std::ftell(f);
-    std::fseek(f, bodyStart, SEEK_SET);
-    uint64_t bodyBytes = static_cast<uint64_t>(fileEnd - bodyStart);
-    if (n * sizeof(BranchRecord) > bodyBytes)
-        return fail("record count exceeds file size");
-
-    std::vector<BranchRecord> records;
-    records.reserve(n);
-    if (version == 1) {
-        records.resize(n);
-        if (!records.empty() &&
-            std::fread(records.data(), sizeof(BranchRecord), n, f) !=
-                n) {
-            return fail("truncated record array");
-        }
+    std::vector<BranchRecord> records(header.records);
+    if (header.version == 1) {
+        r.bytes(records.data(), records.size() * sizeof(BranchRecord));
     } else {
-        while (records.size() < n) {
-            uint32_t frameMagic = 0, count = 0, crc = 0;
-            get(&frameMagic, sizeof(frameMagic));
-            get(&count, sizeof(count));
-            get(&crc, sizeof(crc));
-            if (!ok || frameMagic != kFrameMagic)
-                return fail("bad frame header");
-            if (count == 0 || count > kMaxFrameRecords ||
-                records.size() + count > n) {
-                return fail("frame record count out of bounds");
-            }
-            size_t at = records.size();
-            records.resize(at + count);
-            if (std::fread(records.data() + at, sizeof(BranchRecord),
-                           count, f) != count) {
-                return fail("truncated frame");
-            }
-            if (crc32(records.data() + at,
-                      count * sizeof(BranchRecord)) != crc) {
-                return fail("frame CRC mismatch");
-            }
+        for (size_t at = 0; at < records.size();) {
+            FrameHeader frame;
+            FrameStatus st = FrameStatus::Ok;
+            const unsigned char *payload = r.frame(kFrame, frame, &st);
+            if (!payload)
+                return IoStatus::corruptFile(
+                    path, kFrameErrors[static_cast<int>(st)]);
+            if (frame.length > records.size() - at)
+                return IoStatus::corruptFile(
+                    path, "frame record count out of bounds");
+            std::memcpy(static_cast<void *>(records.data() + at), payload,
+                        frame.payloadBytes);
+            at += frame.length;
         }
     }
-    std::fclose(f);
+    if (!r.ok())
+        return IoStatus::corruptFile(path, "truncated record array");
+    if (!validRecords(records.data(), records.size()))
+        return IoStatus::corruptFile(path, "invalid record field");
+    if (!r.done())
+        return IoStatus::corruptFile(path,
+                                     "trailing bytes after the records");
 
-    app_ = std::move(name);
-    inputId_ = inputId;
+    app_ = std::move(header.app);
+    inputId_ = header.inputId;
     records_ = std::move(records);
     instructions_ = 0;
     conditionals_ = 0;

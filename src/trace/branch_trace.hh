@@ -12,6 +12,7 @@
 
 #include "trace/branch_record.hh"
 #include "trace/branch_source.hh"
+#include "util/byte_codec.hh"
 #include "util/io_status.hh"
 
 namespace whisper
@@ -26,12 +27,9 @@ namespace whisper
 class BranchTrace
 {
   public:
-    /** .whrt on-disk format identity, shared with the streaming
-     * reader in src/service/trace_stream.*. The layout is: magic,
-     * version, name length + bytes, input id, record count, then the
-     * record array. Version 2 stores the array as CRC32-framed
-     * chunks (frame magic, record count, CRC, records) so damage is
-     * localized to one frame; version 1 (raw array) is still read. */
+    /** A .whrt file is a TraceHeader and the record array: in v2
+     * as kFrame CRC frames, so damage stays local to one frame; v1
+     * (one raw array) is still read. */
     static constexpr uint32_t kFileMagic = 0x57485254; // "WHRT"
     static constexpr uint32_t kFileVersion = 2;
     static constexpr uint32_t kFrameMagic = 0x57484652; // "WHFR"
@@ -40,6 +38,9 @@ class BranchTrace
     static constexpr uint32_t kMaxFrameRecords = 1u << 20;
     /** Frame granularity save() uses. */
     static constexpr uint32_t kDefaultFrameRecords = 16'384;
+    static constexpr FrameFormat kFrame{kFrameMagic, false,
+                                        sizeof(BranchRecord),
+                                        kMaxFrameRecords, false};
 
     BranchTrace() = default;
     BranchTrace(std::string app, uint32_t inputId)
@@ -87,6 +88,27 @@ class BranchTrace
     uint64_t instructions_ = 0;
     uint64_t conditionals_ = 0;
 };
+
+/** The .whrt header, parsed the same way by every reader. */
+struct TraceHeader
+{
+    /** Largest encoded header: fixed fields plus the longest name. */
+    static constexpr size_t kMaxBytes = 24 + ByteReader::kMaxString;
+
+    uint32_t version = BranchTrace::kFileVersion;
+    std::string app;
+    uint32_t inputId = 0;
+    uint64_t records = 0; //!< record count the header claims
+
+    void put(ByteWriter &w) const;
+    /** @return nullptr, or why the header is rejected. */
+    const char *get(ByteReader &r);
+};
+
+/** Do raw decoded records hold only field values an encoder writes
+ * (a known kind, taken 0 or 1)? Checked without loading the fields,
+ * so a hostile byte is an error instead of undefined behaviour. */
+bool validRecords(const BranchRecord *records, size_t n);
 
 /** BranchSource view over a materialized trace. */
 class TraceSource : public BranchSource

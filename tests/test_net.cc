@@ -416,10 +416,10 @@ TEST(WireCodec, ReaderOverrunPoisonsNotCrashes)
 {
     // A string length pointing past the payload end must fail the
     // decode, not read out of bounds.
-    WireWriter w;
+    ByteWriter w;
     w.u32(4096); // claims 4096 bytes follow; none do
     auto payload = w.take();
-    WireReader r(payload);
+    ByteReader r(payload);
     EXPECT_EQ(r.str(), "");
     EXPECT_FALSE(r.ok());
 

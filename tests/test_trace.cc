@@ -154,6 +154,20 @@ TEST(BranchTrace, LoadRejectsGarbage)
     std::fclose(f);
     BranchTrace t;
     EXPECT_TRUE(t.load(path).corrupt());
+
+    // 25 bytes: a valid header claiming 2^63 records, then one byte.
+    // n * sizeof(BranchRecord) wraps to 0 there, so a multiplying
+    // size check passes and reserve(2^63) throws; it must be an
+    // ordinary corrupt-file error instead.
+    f = std::fopen(path.c_str(), "wb");
+    const uint32_t header[] = {BranchTrace::kFileMagic,
+                               BranchTrace::kFileVersion, 0, 0};
+    const uint64_t count = 1ULL << 63;
+    std::fwrite(header, sizeof header, 1, f);
+    std::fwrite(&count, sizeof count, 1, f);
+    std::fputc(0, f);
+    std::fclose(f);
+    EXPECT_TRUE(t.load(path).corrupt());
     std::remove(path.c_str());
 }
 
