@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/formula.hh"
 #include "core/formula_trainer.hh"
 #include "core/history_hash.hh"
@@ -59,6 +62,29 @@ BM_FoldedHistoryPush(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FoldedHistoryPush);
+
+void
+BM_FoldedHistoryPushTage(benchmark::State &state)
+{
+    // TAGE-SC-L 64KB's 41 views: 12 tagged tables x (index, tag,
+    // tag - 1 bit) over geometric lengths 6..1600, and 5 SC views.
+    GlobalHistory h(4096);
+    std::vector<unsigned> lens = geometricLengths(6, 1600, 12);
+    for (unsigned t = 0; t < lens.size(); ++t) {
+        unsigned tagBits = 8 + std::min(3u, t / 4);
+        h.addFoldedView(lens[t], 11);
+        h.addFoldedView(lens[t], tagBits);
+        h.addFoldedView(lens[t], tagBits - 1);
+    }
+    for (unsigned len : {4u, 10u, 16u, 27u, 44u})
+        h.addFoldedView(len, 11);
+    bool bit = false;
+    for (auto _ : state) {
+        h.push(bit);
+        bit = !bit;
+    }
+}
+BENCHMARK(BM_FoldedHistoryPushTage);
 
 void
 BM_ScoreFormula(benchmark::State &state)

@@ -13,12 +13,14 @@
  * writes BENCH_micro_throughput.json; CI's perf-smoke job parses
  * that file and the repo commits a reference copy at the root.
  *
+ * Each path is timed kTimedRuns times and the fastest run counts.
  * Every timed pair is also a correctness check: serial and batched
  * runs must report identical mispredict counts, and the legacy and
  * flat hint buffers must agree on every counter after replaying the
  * identical operation sequence.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -57,6 +59,10 @@ struct Throughput
     uint64_t mispredicts = 0;
 };
 
+/** Timed runs per path; the fastest counts, so a burst from a
+ * neighbour on a shared host does not set the number. */
+constexpr int kTimedRuns = 3;
+
 /** Time one predictor both ways; assert identical outcomes. */
 Throughput
 measurePredictor(const BranchTrace &trace,
@@ -66,7 +72,7 @@ measurePredictor(const BranchTrace &trace,
 
     // Serial: the pre-batching driver loop, three virtual calls per
     // record.
-    {
+    for (int run = 0; run < kTimedRuns; ++run) {
         auto pred = proto.clone();
         uint64_t mispredicts = 0;
         auto start = Clock::now();
@@ -79,12 +85,15 @@ measurePredictor(const BranchTrace &trace,
             pred->onRecord(rec);
         }
         double secs = secondsSince(start);
-        out.serialBps = trace.conditionals() / secs;
+        out.serialBps =
+            std::max(out.serialBps, trace.conditionals() / secs);
+        whisper_assert(run == 0 || mispredicts == out.mispredicts,
+                       "repeated serial run diverged");
         out.mispredicts = mispredicts;
     }
 
     // Batched: one virtual call per kBatch records.
-    {
+    for (int run = 0; run < kTimedRuns; ++run) {
         auto pred = proto.clone();
         std::vector<uint8_t> miss(kBatch);
         uint64_t mispredicts = 0;
@@ -98,7 +107,8 @@ measurePredictor(const BranchTrace &trace,
                 mispredicts += miss[k];
         }
         double secs = secondsSince(start);
-        out.batchedBps = trace.conditionals() / secs;
+        out.batchedBps =
+            std::max(out.batchedBps, trace.conditionals() / secs);
         whisper_assert(mispredicts == out.mispredicts,
                        "batched run diverged from serial run");
     }
@@ -262,6 +272,19 @@ main()
                       r.t.batchedBps / r.t.serialBps});
     table.print();
 
+    // Whisper's cost over its base predictor: serial time per branch
+    // of whisper+TAGE over that of TAGE alone (ROADMAP target 1.10).
+    auto serialBps = [&](const char *name) {
+        for (const auto &r : rows)
+            if (r.name == name)
+                return r.t.serialBps;
+        whisper_panic("no throughput row ", name);
+    };
+    double whisperOverhead =
+        serialBps("tage64") / serialBps("whisper_tage64");
+    std::printf("whisper overhead (whisper+tage64 / tage64 time):"
+                " %.3f\n", whisperOverhead);
+
     // --- hint-buffer hot path, flat vs pre-refactor legacy ---
     BufScript script = hintBufferScript(trace, build);
     uint64_t lookups = script.lookupPcs.size();
@@ -326,6 +349,7 @@ main()
     const char *jsonPath = "BENCH_micro_throughput.json";
     if (FILE *f = std::fopen(jsonPath, "w")) {
         std::fprintf(f, "{\n  \"bench\": \"micro_throughput\",\n");
+        std::fputs(benchStampJson().c_str(), f);
         std::fprintf(f, "  \"scale\": %.3f,\n", scaleFactor());
         std::fprintf(f, "  \"trace\": \"%s\",\n", app.name.c_str());
         std::fprintf(f, "  \"records\": %zu,\n", trace.size());
@@ -349,6 +373,8 @@ main()
                 i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(f, "  },\n");
+        std::fprintf(f, "  \"whisper_overhead\": %.3f,\n",
+                     whisperOverhead);
         std::fprintf(
             f,
             "  \"hint_buffer\": {\n"

@@ -15,7 +15,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bp/simple_predictors.hh"
@@ -100,6 +102,66 @@ addAverageRow(TableReporter &table,
     for (auto &v : avg)
         v /= rows.size();
     table.addRow("Avg", avg, precision);
+}
+
+/** @p s as a JSON string literal. */
+inline std::string
+jsonQuote(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20)
+            out += c;
+    }
+    return out + "\"";
+}
+
+/**
+ * The members that say where a bench JSON's numbers come from:
+ * "host" (CPU model and hardware threads), "commit" (the source
+ * tree's git commit, "-dirty" when it has uncommitted changes) and
+ * "build_type". Each line is indented two spaces and ends with
+ * ",\n", ready to follow the JSON object's opening brace.
+ */
+inline std::string
+benchStampJson()
+{
+    std::string cpu = "unknown";
+    std::ifstream info("/proc/cpuinfo");
+    for (std::string line; std::getline(info, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            size_t colon = line.find(':');
+            if (colon != std::string::npos &&
+                colon + 2 <= line.size())
+                cpu = line.substr(colon + 2);
+            break;
+        }
+    }
+
+    std::string commit;
+    std::string cmd = std::string("git -C \"") + WHISPER_SOURCE_DIR +
+                      "\" describe --always --dirty --abbrev=40"
+                      " 2>/dev/null";
+    if (FILE *git = popen(cmd.c_str(), "r")) {
+        char buf[128];
+        if (std::fgets(buf, sizeof buf, git))
+            commit = buf;
+        pclose(git);
+    }
+    while (!commit.empty() &&
+           (commit.back() == '\n' || commit.back() == '\r'))
+        commit.pop_back();
+    if (commit.empty())
+        commit = "unknown";
+
+    return "  \"host\": {\"cpu_model\": " + jsonQuote(cpu) +
+           ", \"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           "},\n  \"commit\": " + jsonQuote(commit) +
+           ",\n  \"build_type\": " + jsonQuote(WHISPER_BUILD_TYPE) +
+           ",\n";
 }
 
 } // namespace whisper::bench

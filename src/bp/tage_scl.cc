@@ -67,25 +67,23 @@ TageScl::TageScl(const TageSclConfig &cfg)
     tagCtr_.assign(taggedTotal, 0);
     tagUseful_.assign(taggedTotal, 0);
 
-    // Folded history views: one for the index, two for the tag.
+    // Folded history views, laid out by table: view kViewsPerTable *
+    // t + kIndexView (+ kTagView, + kTag2View) serves table t.
     for (unsigned i = 0; i < cfg.numTables; ++i) {
-        idxView_.push_back(
-            history_.addFoldedView(histLens_[i], cfg.logTagged));
-        tag1View_.push_back(
-            history_.addFoldedView(histLens_[i], tagBits_[i]));
-        tag2View_.push_back(
-            history_.addFoldedView(histLens_[i], tagBits_[i] - 1));
+        history_.addFoldedView(histLens_[i], cfg.logTagged);
+        history_.addFoldedView(histLens_[i], tagBits_[i]);
+        history_.addFoldedView(histLens_[i], tagBits_[i] - 1);
     }
 
     // Statistical corrector: bias + GEHL components on short
     // histories.
     scHistLens_ = {4, 10, 16, 27, 44};
     whisper_assert(scHistLens_.size() <= kMaxScTables);
+    // Their views follow the tagged tables' views.
     scTables_.assign(scHistLens_.size(), {});
     for (size_t t = 0; t < scHistLens_.size(); ++t) {
         scTables_[t].assign(1ULL << cfg.logSc, 0);
-        scView_.push_back(
-            history_.addFoldedView(scHistLens_[t], cfg.logSc));
+        history_.addFoldedView(scHistLens_[t], cfg.logSc);
     }
 }
 
@@ -122,28 +120,20 @@ TageScl::nextRandom()
     return lfsr_;
 }
 
-uint32_t
-TageScl::taggedIndex(unsigned t, uint64_t pc) const
-{
-    uint64_t idx = pcIndexBits(pc) ^ (pc >> (cfg_.logTagged - (t % 4))) ^
-                   history_.foldedValue(idxView_[t]);
-    return idx & maskBits(cfg_.logTagged);
-}
-
-uint16_t
-TageScl::taggedTag(unsigned t, uint64_t pc) const
-{
-    uint64_t tag = pcIndexBits(pc) ^ history_.foldedValue(tag1View_[t]) ^
-                   (history_.foldedValue(tag2View_[t]) << 1);
-    return static_cast<uint16_t>(tag & maskBits(tagBits_[t]));
-}
-
 void
 TageScl::computeTagePrediction(uint64_t pc)
 {
+    const uint64_t pcBits = pcIndexBits(pc);
+    const uint64_t idxMask = maskBits(cfg_.logTagged);
     for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        ctx_.indices[t] = taggedIndex(t, pc);
-        ctx_.tags[t] = taggedTag(t, pc);
+        size_t view = kViewsPerTable * t;
+        uint64_t idx = pcBits ^ (pc >> (cfg_.logTagged - (t % 4))) ^
+                       history_.foldedValue(view + kIndexView);
+        uint64_t tag = pcBits ^ history_.foldedValue(view + kTagView) ^
+                       (history_.foldedValue(view + kTag2View) << 1);
+        slots_.indices[t] = static_cast<uint32_t>(idx & idxMask);
+        slots_.tags[t] =
+            static_cast<uint32_t>(tag & maskBits(tagBits_[t]));
     }
 
     // Longest-history match scan: one compare per table against the
@@ -152,7 +142,8 @@ TageScl::computeTagePrediction(uint64_t pc)
     ctx_.providerTable = -1;
     ctx_.altTable = -1;
     for (int t = cfg_.numTables - 1; t >= 0; --t) {
-        if (tagKey_[taggedSlot(t, ctx_.indices[t])] == ctx_.tags[t]) {
+        if (tagKey_[taggedSlot(t, slots_.indices[t])] ==
+            slots_.tags[t]) {
             if (ctx_.providerTable < 0) {
                 ctx_.providerTable = t;
             } else {
@@ -167,12 +158,12 @@ TageScl::computeTagePrediction(uint64_t pc)
     if (ctx_.altTable >= 0) {
         ctx_.altPred =
             tagCtr_[taggedSlot(ctx_.altTable,
-                               ctx_.indices[ctx_.altTable])] >= 0;
+                               slots_.indices[ctx_.altTable])] >= 0;
     }
 
     if (ctx_.providerTable >= 0) {
         size_t slot = taggedSlot(ctx_.providerTable,
-                                 ctx_.indices[ctx_.providerTable]);
+                                 slots_.indices[ctx_.providerTable]);
         int8_t ctr = tagCtr_[slot];
         ctx_.providerPred = ctr >= 0;
         // Newly allocated: weak counter and no proven usefulness.
@@ -192,7 +183,8 @@ TageScl::computeTagePrediction(uint64_t pc)
 int
 TageScl::scIndex(unsigned t, uint64_t pc, bool tagePred) const
 {
-    uint64_t idx = pcIndexBits(pc) ^ history_.foldedValue(scView_[t]) ^
+    uint64_t idx = pcIndexBits(pc) ^
+                   history_.foldedValue(kViewsPerTable * cfg_.numTables + t) ^
                    (static_cast<uint64_t>(tagePred) << (cfg_.logSc - 1));
     return static_cast<int>(idx & maskBits(cfg_.logSc));
 }
@@ -203,8 +195,8 @@ TageScl::computeScPrediction(uint64_t pc)
     int sum = 2 * scBias_[pcIndexBits(pc) & maskBits(cfg_.logSc)] + 1;
     sum += ctx_.tagePred ? 8 : -8;
     for (size_t t = 0; t < scTables_.size(); ++t) {
-        ctx_.scIndices[t] = scIndex(t, pc, ctx_.tagePred);
-        sum += 2 * scTables_[t][ctx_.scIndices[t]] + 1;
+        slots_.scIndices[t] = scIndex(t, pc, ctx_.tagePred);
+        sum += 2 * scTables_[t][slots_.scIndices[t]] + 1;
     }
     ctx_.scSum = sum;
     ctx_.scPred = sum >= 0;
@@ -330,6 +322,8 @@ TageScl::updateLoop(uint64_t pc, bool taken)
 bool
 TageScl::predict(uint64_t pc, bool)
 {
+    // Only the scalar context is reset; slots_ is rewritten for
+    // every table before update() reads it.
     ctx_ = PredictContext{};
     ctx_.pc = pc;
     computeTagePrediction(pc);
@@ -374,9 +368,9 @@ TageScl::allocateEntries(uint64_t pc, bool taken)
 
     unsigned allocated = 0, blocked = 0;
     for (unsigned t = start; t < cfg_.numTables && allocated < 2; ++t) {
-        size_t slot = taggedSlot(t, ctx_.indices[t]);
+        size_t slot = taggedSlot(t, slots_.indices[t]);
         if (tagUseful_[slot] == 0) {
-            tagKey_[slot] = ctx_.tags[t];
+            tagKey_[slot] = slots_.tags[t];
             tagCtr_[slot] = taken ? 0 : -1;
             ++allocated;
             ++t; // leave a gap between allocations
@@ -432,7 +426,7 @@ TageScl::updateSc(bool taken)
         };
         adjust(scBias_[pcIndexBits(ctx_.pc) & maskBits(cfg_.logSc)]);
         for (size_t t = 0; t < scTables_.size(); ++t)
-            adjust(scTables_[t][ctx_.scIndices[t]]);
+            adjust(scTables_[t][slots_.scIndices[t]]);
     }
 }
 
@@ -463,7 +457,7 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
     // Update the provider (or bimodal).
     if (ctx_.providerTable >= 0) {
         size_t slot = taggedSlot(ctx_.providerTable,
-                                 ctx_.indices[ctx_.providerTable]);
+                                 slots_.indices[ctx_.providerTable]);
         int lim = (1 << (cfg_.ctrBits - 1)) - 1;
         int v = tagCtr_[slot] + (taken ? 1 : -1);
         tagCtr_[slot] = static_cast<int8_t>(std::clamp(v, -lim - 1, lim));
@@ -542,6 +536,7 @@ TageScl::reset()
     tick_ = 0;
     lfsr_ = 0xACE1u;
     ctx_ = PredictContext{};
+    slots_ = LookupSlots{};
 }
 
 unsigned

@@ -121,14 +121,25 @@ class TageScl : public BranchPredictor
         bool loopPred = false;
         bool loopValid = false;
         bool loopUsed = false;
+    };
+
+    /** Table slots the last predict() looked up, for update(). Every
+     * predict() rewrites each live entry, so they are never reset. */
+    struct LookupSlots
+    {
         std::array<uint32_t, kMaxTables> indices{};
         std::array<uint32_t, kMaxTables> tags{};
         std::array<uint32_t, kMaxScTables> scIndices{};
     };
 
+    /** Folded-history views of tagged table t are kViewsPerTable * t
+     * plus these offsets; the SC tables' views follow them. */
+    static constexpr size_t kViewsPerTable = 3;
+    static constexpr size_t kIndexView = 0;
+    static constexpr size_t kTagView = 1;
+    static constexpr size_t kTag2View = 2;
+
     // --- tagged path ---
-    uint32_t taggedIndex(unsigned table, uint64_t pc) const;
-    uint16_t taggedTag(unsigned table, uint64_t pc) const;
     void computeTagePrediction(uint64_t pc);
     void allocateEntries(uint64_t pc, bool taken);
 
@@ -172,9 +183,6 @@ class TageScl : public BranchPredictor
     std::vector<int8_t> bimodal_;  //!< 2-bit counters stored as int
 
     GlobalHistory history_;
-    std::vector<size_t> idxView_;   //!< folded views for indices
-    std::vector<size_t> tag1View_;  //!< folded views for tags
-    std::vector<size_t> tag2View_;
 
     // use-alt-on-newly-allocated counter (4 bits signed)
     int useAltOnNa_ = 0;
@@ -183,7 +191,6 @@ class TageScl : public BranchPredictor
     std::vector<unsigned> scHistLens_;
     std::vector<std::vector<int8_t>> scTables_;
     std::vector<int8_t> scBias_;
-    std::vector<size_t> scView_;
     int scThreshold_ = 6;
     int scThresholdCtr_ = 0;
 
@@ -195,6 +202,7 @@ class TageScl : public BranchPredictor
     uint32_t lfsr_ = 0xACE1u;
 
     PredictContext ctx_;
+    LookupSlots slots_;
 };
 
 } // namespace whisper

@@ -85,6 +85,9 @@ encodeIngestChunk(const IngestChunkMsg &m)
     w.u64(m.seq);
     w.u32(static_cast<uint32_t>(m.records.size()));
     w.bytes(m.records.data(), m.records.size() * sizeof(BranchRecord));
+    zeroRecordPadding(w.data() + w.size() -
+                          m.records.size() * sizeof(BranchRecord),
+                      m.records.size());
     return w.take();
 }
 

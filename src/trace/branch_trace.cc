@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 
 namespace whisper
 {
@@ -10,7 +11,7 @@ namespace whisper
 namespace
 {
 
-// save() zeroes the tail padding after instGap.
+// Encoders zero the tail padding after instGap.
 constexpr size_t kPadAt = offsetof(BranchRecord, instGap) + 2;
 static_assert(sizeof(BranchRecord) == 24 && kPadAt == 20);
 
@@ -61,6 +62,13 @@ validRecords(const BranchRecord *records, size_t n)
 }
 
 void
+zeroRecordPadding(unsigned char *bytes, size_t n)
+{
+    for (size_t i = 0; i < n; ++i, bytes += sizeof(BranchRecord))
+        std::memset(bytes + kPadAt, 0, sizeof(BranchRecord) - kPadAt);
+}
+
+void
 BranchTrace::fill(BranchSource &source, uint64_t maxRecords)
 {
     BranchRecord rec;
@@ -87,11 +95,9 @@ BranchTrace::save(const std::string &path) const
         if (count > 0) {
             size_t mark = w.beginFrame(kFrame);
             w.bytes(records_.data() + at, count * sizeof(BranchRecord));
-            // Zero the padding: identical traces, identical files.
-            unsigned char *end = w.data() + w.size();
-            for (unsigned char *p = end - count * sizeof(BranchRecord);
-                 p < end; p += sizeof(BranchRecord))
-                std::memset(p + kPadAt, 0, sizeof(BranchRecord) - kPadAt);
+            zeroRecordPadding(w.data() + w.size() -
+                                  count * sizeof(BranchRecord),
+                              count);
             w.endFrame(kFrame, mark);
         }
         ok = ok && std::fwrite(w.data(), 1, w.size(), f) == w.size();

@@ -110,6 +110,11 @@ struct TraceHeader
  * so a hostile byte is an error instead of undefined behaviour. */
 bool validRecords(const BranchRecord *records, size_t n);
 
+/** Zero the tail padding of @p n records encoded at @p bytes, so
+ * identical records encode to identical bytes and no uninitialized
+ * memory leaves the process. */
+void zeroRecordPadding(unsigned char *bytes, size_t n);
+
 /** BranchSource view over a materialized trace. */
 class TraceSource : public BranchSource
 {

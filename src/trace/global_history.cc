@@ -1,43 +1,22 @@
 #include "trace/global_history.hh"
 
+#include <algorithm>
+
 namespace whisper
 {
 
-FoldedHistory::FoldedHistory(unsigned length, unsigned width)
-    : length_(length), width_(width), outPoint_(length % width)
-{
-    whisper_assert(length >= 1);
-    whisper_assert(width >= 1 && width <= 32);
-}
-
-void
-FoldedHistory::update(bool newBit, bool evictedBit)
-{
-    folded_ = (folded_ << 1) | static_cast<uint32_t>(newBit);
-    folded_ ^= static_cast<uint32_t>(evictedBit) << outPoint_;
-    folded_ ^= folded_ >> width_;
-    folded_ &= maskBits(width_);
-}
-
 GlobalHistory::GlobalHistory(unsigned capacity)
-    : capacity_(capacity), bits_(capacity, 0)
+    : capacity_(capacity)
 {
     whisper_assert(capacity >= 1);
-}
-
-void
-GlobalHistory::push(bool taken)
-{
-    for (auto &view : views_) {
-        // The bit at distance length-1 (0-based) is about to move out
-        // of the window once the new bit enters.
-        bool evicted = count_ >= view.length()
-            ? bit(view.length() - 1) : false;
-        view.update(taken, evicted);
-    }
-    bits_[head_] = taken ? 1 : 0;
-    head_ = (head_ + 1) % capacity_;
-    ++count_;
+    // A power-of-two ring indexed with a mask. Holding more than
+    // 'capacity' bits changes nothing observable: bit() refuses
+    // i >= capacity and views are at most 'capacity' long.
+    uint64_t ring = 1;
+    while (ring < capacity)
+        ring <<= 1;
+    ringMask_ = ring - 1;
+    bits_.assign(ring, 0);
 }
 
 uint64_t
@@ -55,16 +34,15 @@ GlobalHistory::foldedHash(unsigned length, unsigned width) const
 {
     whisper_assert(length <= capacity_);
     whisper_assert(width >= 1 && width <= 32);
-    uint32_t folded = 0;
-    // Walk the history oldest-to-newest so the construction matches
-    // FoldedHistory's insertion order exactly.
+    // Walk the history oldest-to-newest, the views' insertion order.
+    // Bits older than the first push read as zero from the ring.
+    uint64_t folded = 0;
     for (unsigned i = length; i-- > 0;) {
-        bool b = count_ > i ? bit(i) : false;
-        folded = (folded << 1) | static_cast<uint32_t>(b);
+        folded = (folded << 1) | static_cast<uint64_t>(bit(i));
         folded ^= folded >> width;
         folded &= maskBits(width);
     }
-    return folded;
+    return static_cast<uint32_t>(folded);
 }
 
 size_t
@@ -72,19 +50,22 @@ GlobalHistory::addFoldedView(unsigned length, unsigned width)
 {
     whisper_assert(count_ == 0,
                    "folded views must be added before pushes");
-    whisper_assert(length <= capacity_);
-    views_.emplace_back(length, width);
-    return views_.size() - 1;
+    whisper_assert(length >= 1 && length <= capacity_);
+    whisper_assert(width >= 1 && width <= 32);
+    folded_.push_back(0);
+    length_.push_back(length);
+    widthMask_.push_back(static_cast<uint32_t>(maskBits(width)));
+    topBit_.push_back(1u << (width - 1));
+    outBit_.push_back(1u << (length % width));
+    return folded_.size() - 1;
 }
 
 void
 GlobalHistory::reset()
 {
     std::fill(bits_.begin(), bits_.end(), 0);
-    head_ = 0;
     count_ = 0;
-    for (auto &view : views_)
-        view.reset();
+    std::fill(folded_.begin(), folded_.end(), 0);
 }
 
 } // namespace whisper

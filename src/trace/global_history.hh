@@ -1,7 +1,7 @@
 /**
  * @file
- * Global branch history registers: a raw bit ring plus TAGE-style
- * folded (hashed) views of configurable lengths.
+ * Global branch history: a raw bit ring plus TAGE-style folded
+ * (hashed) views of configurable lengths.
  */
 
 #ifndef WHISPER_TRACE_GLOBAL_HISTORY_HH
@@ -17,70 +17,60 @@ namespace whisper
 {
 
 /**
- * A folded view of the last @p length history bits compressed to
- * @p width bits, maintained incrementally in O(1) per branch.
- *
- * This is the circular-shift-register construction used by TAGE for
- * index/tag hashing and by Whisper for its 8-bit hashed histories
- * (paper SIII-A: "branch predictors used in today's hardware already
- * use a similar hashing mechanism").
- */
-class FoldedHistory
-{
-  public:
-    FoldedHistory() = default;
-
-    /**
-     * @param length number of history bits covered (>= 1)
-     * @param width folded register width in bits (1..32)
-     */
-    FoldedHistory(unsigned length, unsigned width);
-
-    /**
-     * Push the newest bit and retire the bit that falls off the end
-     * of the covered window.
-     *
-     * @param newBit direction of the branch just resolved
-     * @param evictedBit value of the bit at distance 'length' before
-     *        this update (i.e., the one leaving the window)
-     */
-    void update(bool newBit, bool evictedBit);
-
-    uint32_t value() const { return folded_; }
-    unsigned length() const { return length_; }
-    unsigned width() const { return width_; }
-
-    void reset() { folded_ = 0; }
-
-  private:
-    unsigned length_ = 0;
-    unsigned width_ = 0;
-    unsigned outPoint_ = 0; //!< length % width: where evictions land
-    uint32_t folded_ = 0;
-};
-
-/**
  * Global direction history with random access to recent bits and a
  * bank of folded views.
  *
- * The raw ring stores the most recent 'capacity' outcomes (default
- * 4096, comfortably above Whisper's N = 1024 maximum correlation
- * length). bit(0) is the most recent outcome.
+ * The raw ring stores at least the most recent 'capacity' outcomes
+ * (default 4096, comfortably above Whisper's N = 1024 maximum
+ * correlation length). bit(0) is the most recent outcome.
+ *
+ * A folded view compresses the last 'length' bits into 'width' bits
+ * and is maintained incrementally in O(1) per branch: the
+ * circular-shift-register construction used by TAGE for index/tag
+ * hashing and by Whisper for its 8-bit hashed histories (paper
+ * SIII-A: "branch predictors used in today's hardware already use a
+ * similar hashing mechanism"). The views are kept as one
+ * struct-of-arrays bank so push() is a single branch-free pass over
+ * contiguous registers.
  */
 class GlobalHistory
 {
   public:
     explicit GlobalHistory(unsigned capacity = 4096);
 
-    /** Record one resolved conditional-branch direction. */
-    void push(bool taken);
+    /**
+     * Record one resolved conditional-branch direction and update
+     * every folded view. Per view, the newest bit shifts in at bit
+     * 0, the bit leaving the window (distance 'length', read from
+     * the ring) is XORed in at length % width, and the bit shifted
+     * out at the top wraps around to bit 0. The ring is zero-filled
+     * at construction and by reset(), so a view whose window is not
+     * yet full evicts a zero without a check.
+     */
+    void
+    push(bool taken)
+    {
+        const uint32_t t = taken;
+        const uint8_t *ring = bits_.data();
+        uint32_t *folded = folded_.data();
+        const size_t views = folded_.size();
+        for (size_t v = 0; v < views; ++v) {
+            uint32_t evicted = ring[(count_ - length_[v]) & ringMask_];
+            uint32_t f = folded[v];
+            folded[v] = (((f << 1) & widthMask_[v]) | t) ^
+                        (outBit_[v] & -evicted) ^
+                        static_cast<uint32_t>((f & topBit_[v]) != 0);
+        }
+        bits_[count_ & ringMask_] = static_cast<uint8_t>(t);
+        ++count_;
+    }
 
     /** The i-th most recent direction (i = 0 is the newest). */
     bool
     bit(unsigned i) const
     {
         whisper_assert(i < capacity_);
-        return bits_[(head_ + capacity_ - 1 - i) % capacity_];
+        return bits_[(count_ - 1 - i) & ringMask_];
     }
 
     /** Number of outcomes pushed so far (not capped). */
@@ -95,36 +85,38 @@ class GlobalHistory
 
     /**
      * XOR-fold of the last @p length bits into @p width bits,
-     * computed from the raw ring (reference implementation; the
-     * folded registers below give the same quality in O(1)).
+     * computed from the raw ring: the reference the incremental
+     * views must equal after every push.
      */
     uint32_t foldedHash(unsigned length, unsigned width) const;
 
     /**
      * Register a folded view maintained incrementally. Returns the
-     * view's index for later lookup. Must be called before any
-     * push().
+     * view's index for later lookup; indices are dense and assigned
+     * in registration order. Must be called before any push().
+     *
+     * @param length number of history bits covered (1..capacity)
+     * @param width folded register width in bits (1..32)
      */
     size_t addFoldedView(unsigned length, unsigned width);
 
     /** Current value of folded view @p idx. */
-    uint32_t
-    foldedValue(size_t idx) const
-    {
-        return views_[idx].value();
-    }
-
-    const FoldedHistory &view(size_t idx) const { return views_[idx]; }
-    size_t numViews() const { return views_.size(); }
+    uint32_t foldedValue(size_t idx) const { return folded_[idx]; }
 
     void reset();
 
   private:
     unsigned capacity_;
-    std::vector<uint8_t> bits_;
-    unsigned head_ = 0; //!< next write position
+    uint64_t ringMask_;         //!< ring size (a power of two) - 1
+    std::vector<uint8_t> bits_; //!< slot count_ % ring size is next
     uint64_t count_ = 0;
-    std::vector<FoldedHistory> views_;
+
+    // Folded views, one entry per view in each array.
+    std::vector<uint32_t> folded_;    //!< the registers
+    std::vector<uint32_t> length_;    //!< window length
+    std::vector<uint32_t> widthMask_; //!< (1 << width) - 1
+    std::vector<uint32_t> topBit_;    //!< 1 << (width - 1)
+    std::vector<uint32_t> outBit_;    //!< 1 << (length % width)
 };
 
 } // namespace whisper

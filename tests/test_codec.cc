@@ -72,8 +72,8 @@ writeBytes(const std::string &path, const Bytes &bytes)
 std::vector<BranchRecord>
 goldenRecords(size_t n)
 {
-    // Zero the struct padding too: INGEST_CHUNK carries the raw
-    // record array, so only then are its bytes reproducible.
+    // Zero the struct padding too, as the .whrt and INGEST_CHUNK
+    // encoders do, so the in-memory records match their encodings.
     std::vector<BranchRecord> records(n);
     std::memset(static_cast<void *>(records.data()), 0,
                 n * sizeof(BranchRecord));

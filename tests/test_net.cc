@@ -58,6 +58,21 @@ someRecords(uint64_t count, uint32_t inputId = 0)
     return records;
 }
 
+/** Field-by-field record equality (the padding is not a field). */
+void
+expectSameRecords(const std::vector<BranchRecord> &got,
+                  const std::vector<BranchRecord> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].pc, want[i].pc) << i;
+        ASSERT_EQ(got[i].target, want[i].target) << i;
+        ASSERT_EQ(got[i].kind, want[i].kind) << i;
+        ASSERT_EQ(got[i].taken, want[i].taken) << i;
+        ASSERT_EQ(got[i].instGap, want[i].instGap) << i;
+    }
+}
+
 VersionedHintBundle
 makeBundle(uint64_t epoch, size_t hints)
 {
@@ -283,13 +298,49 @@ TEST(WireCodec, FrameRoundTripsThroughParser)
     EXPECT_EQ(back.stream, msg.stream);
     EXPECT_EQ(back.inputId, msg.inputId);
     EXPECT_EQ(back.seq, msg.seq);
-    ASSERT_EQ(back.records.size(), msg.records.size());
-    EXPECT_EQ(0, std::memcmp(back.records.data(),
-                             msg.records.data(),
-                             msg.records.size() *
-                                 sizeof(BranchRecord)));
+    expectSameRecords(back.records, msg.records);
     EXPECT_EQ(parser.next(frame), FrameParser::Result::NeedMore);
     EXPECT_EQ(parser.buffered(), 0u);
+}
+
+TEST(WireCodec, IngestChunkBytesDoNotDependOnRecordPadding)
+{
+    // The same records in memory whose tail padding holds different
+    // garbage must encode to the same bytes (and so the same CRC).
+    std::vector<BranchRecord> records = someRecords(64);
+    auto withPadding = [&](unsigned char fill) {
+        std::vector<BranchRecord> out(records.size());
+        std::memset(static_cast<void *>(out.data()), fill,
+                    out.size() * sizeof(BranchRecord));
+        for (size_t i = 0; i < records.size(); ++i) {
+            out[i].pc = records[i].pc;
+            out[i].target = records[i].target;
+            out[i].kind = records[i].kind;
+            out[i].taken = records[i].taken;
+            out[i].instGap = records[i].instGap;
+        }
+        return out;
+    };
+    IngestChunkMsg a;
+    a.app = "kafka";
+    a.stream = "agent1";
+    a.seq = 7;
+    IngestChunkMsg b = a;
+    a.records = withPadding(0xA5);
+    b.records = withPadding(0x5A);
+    ASSERT_NE(0, std::memcmp(a.records.data(), b.records.data(),
+                             records.size() * sizeof(BranchRecord)))
+        << "the two copies must differ in their padding";
+
+    std::vector<unsigned char> wireA =
+        encodeFrame(WireOp::IngestChunk, encodeIngestChunk(a));
+    std::vector<unsigned char> wireB =
+        encodeFrame(WireOp::IngestChunk, encodeIngestChunk(b));
+    EXPECT_EQ(wireA, wireB);
+
+    IngestChunkMsg back;
+    ASSERT_TRUE(decodeIngestChunk(encodeIngestChunk(a), back));
+    expectSameRecords(back.records, records);
 }
 
 TEST(WireCodec, AllControlMessagesRoundTrip)

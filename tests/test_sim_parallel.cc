@@ -406,6 +406,39 @@ TEST_P(GoldenSnapshot, SerialAndShardedMatchTheSnapshot)
 INSTANTIATE_TEST_SUITE_P(CatalogWorkloads, GoldenSnapshot,
                          ::testing::ValuesIn(kGoldens));
 
+// The Whisper wrapper over TAGE-SC-L 64KB with a bundle trained on
+// mysql input 0 (profile, Algorithm-1 search, brhint placement),
+// replayed on input 1. Pins the wrapper's own history and hint path
+// as well as the base predictor's: every counter is an exact count.
+TEST(WhisperGoldenSnapshot, TrainedMysqlBundle)
+{
+    ExperimentConfig cfg;
+    cfg.trainRecords = 200000;
+    cfg.testRecords = 120000;
+    const AppConfig &app = appByName("mysql");
+    BranchProfile profile = profileApp(app, 0, cfg);
+    WhisperBuild build = trainWhisper(app, 0, profile, cfg);
+    ASSERT_FALSE(build.hints.empty());
+
+    auto pred = makeWhisperPredictor(cfg, build);
+    auto &whisper = dynamic_cast<WhisperPredictor &>(*pred);
+    uint64_t mispredicts = 0;
+    for (const BranchRecord &rec :
+         materialize("mysql", 1, cfg.testRecords)) {
+        if (rec.isConditional()) {
+            bool p = whisper.predict(rec.pc, rec.taken);
+            whisper.update(rec.pc, rec.taken, p);
+            mispredicts += p != rec.taken;
+        }
+        whisper.onRecord(rec);
+    }
+    EXPECT_EQ(build.hints.size(), 77u);
+    EXPECT_EQ(mispredicts, 14073u);
+    EXPECT_EQ(whisper.hintPredictions(), 3753u);
+    EXPECT_EQ(whisper.hintCorrect(), 3152u);
+    EXPECT_EQ(whisper.dynamicHintInstructions(), 3674u);
+}
+
 // ---------------------------------------------------------------
 // clone() contract: after cloning, original and clone make the same
 // predictions on the same continuation, for every predictor type.
