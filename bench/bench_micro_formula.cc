@@ -3,7 +3,7 @@
  * Google-benchmark microbenchmarks for the formula machinery: the
  * per-prediction costs Whisper adds (formula evaluation, hashed
  * history maintenance) and the offline costs (Algorithm 1 scoring,
- * candidate search).
+ * scalar and bit-sliced, and candidate search).
  */
 
 #include <benchmark/benchmark.h>
@@ -86,16 +86,25 @@ BM_FoldedHistoryPushTage(benchmark::State &state)
 }
 BENCHMARK(BM_FoldedHistoryPushTage);
 
-void
-BM_ScoreFormula(benchmark::State &state)
+/** The sample table every scoring case scores against. */
+HashedSampleTable
+scoringTable()
 {
-    static const TruthTableCache cache(8);
     HashedSampleTable table(8);
     Rng rng(1);
     for (unsigned k = 0; k < 256; ++k) {
         table.taken[k] = static_cast<uint32_t>(rng.nextBelow(50));
         table.notTaken[k] = static_cast<uint32_t>(rng.nextBelow(50));
     }
+    return table;
+}
+
+void
+BM_ScoreFormula(benchmark::State &state)
+{
+    // The scalar reference: one branchy step per hash key.
+    static const TruthTableCache cache(8);
+    HashedSampleTable table = scoringTable();
     uint16_t enc = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -104,6 +113,52 @@ BM_ScoreFormula(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ScoreFormula);
+
+/** The same scores through the bit planes; @p popcnt picks the
+ * POPCNT path over the portable one. */
+void
+scoreBitSliced(benchmark::State &state, bool popcnt)
+{
+    if (popcnt && !SamplePlanes::hasPopcnt()) {
+        state.SkipWithError("this CPU has no POPCNT");
+        return;
+    }
+    static const TruthTableCache cache(8);
+    const SamplePlanes planes(scoringTable());
+    uint16_t enc = 0;
+    for (auto _ : state) {
+        const TruthTable &tt = cache.table(enc);
+        benchmark::DoNotOptimize(popcnt ? planes.scorePopcnt(tt)
+                                        : planes.scoreGeneric(tt));
+        enc = static_cast<uint16_t>((enc + 977) & 0x7FFF);
+    }
+}
+
+void
+BM_ScoreFormulaBitSlicedGeneric(benchmark::State &state)
+{
+    scoreBitSliced(state, false);
+}
+BENCHMARK(BM_ScoreFormulaBitSlicedGeneric);
+
+void
+BM_ScoreFormulaBitSlicedPopcnt(benchmark::State &state)
+{
+    scoreBitSliced(state, true);
+}
+BENCHMARK(BM_ScoreFormulaBitSlicedPopcnt);
+
+void
+BM_SamplePlanesBuild(benchmark::State &state)
+{
+    // Paid once per (branch, history length) table.
+    HashedSampleTable table = scoringTable();
+    for (auto _ : state) {
+        SamplePlanes planes(table);
+        benchmark::DoNotOptimize(planes);
+    }
+}
+BENCHMARK(BM_SamplePlanesBuild);
 
 void
 BM_Algorithm1Randomized(benchmark::State &state)

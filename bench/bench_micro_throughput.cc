@@ -14,6 +14,9 @@
  * that file and the repo commits a reference copy at the root.
  *
  * Each path is timed kTimedRuns times and the fastest run counts.
+ * Whisper's overhead over TAGE-SC-L is timed apart from the rows, as
+ * the median of kOverheadPairs back-to-back TAGE / whisper+TAGE
+ * pairs; the JSON lists every pair's ratio so its spread shows.
  * Every timed pair is also a correctness check: serial and batched
  * runs must report identical mispredict counts, and the legacy and
  * flat hint buffers must agree on every counter after replaying the
@@ -63,6 +66,26 @@ struct Throughput
  * neighbour on a shared host does not set the number. */
 constexpr int kTimedRuns = 3;
 
+/** One serial run of a fresh clone of @p proto: the pre-batching
+ * replay loop, three virtual calls per record. Returns seconds. */
+double
+timeSerial(const BranchTrace &trace, const BranchPredictor &proto,
+           uint64_t &mispredicts)
+{
+    auto pred = proto.clone();
+    mispredicts = 0;
+    auto start = Clock::now();
+    for (const BranchRecord &rec : trace) {
+        if (rec.isConditional()) {
+            bool p = pred->predict(rec.pc, rec.taken);
+            pred->update(rec.pc, rec.taken, p);
+            mispredicts += p != rec.taken;
+        }
+        pred->onRecord(rec);
+    }
+    return secondsSince(start);
+}
+
 /** Time one predictor both ways; assert identical outcomes. */
 Throughput
 measurePredictor(const BranchTrace &trace,
@@ -70,21 +93,9 @@ measurePredictor(const BranchTrace &trace,
 {
     Throughput out;
 
-    // Serial: the pre-batching driver loop, three virtual calls per
-    // record.
     for (int run = 0; run < kTimedRuns; ++run) {
-        auto pred = proto.clone();
         uint64_t mispredicts = 0;
-        auto start = Clock::now();
-        for (const BranchRecord &rec : trace) {
-            if (rec.isConditional()) {
-                bool p = pred->predict(rec.pc, rec.taken);
-                pred->update(rec.pc, rec.taken, p);
-                mispredicts += p != rec.taken;
-            }
-            pred->onRecord(rec);
-        }
-        double secs = secondsSince(start);
+        double secs = timeSerial(trace, proto, mispredicts);
         out.serialBps =
             std::max(out.serialBps, trace.conditionals() / secs);
         whisper_assert(run == 0 || mispredicts == out.mispredicts,
@@ -113,6 +124,41 @@ measurePredictor(const BranchTrace &trace,
                        "batched run diverged from serial run");
     }
     return out;
+}
+
+/** Interleaved TAGE / whisper+TAGE serial pairs timed for the
+ * overhead ratio; the order alternates from pair to pair. */
+constexpr int kOverheadPairs = 5;
+
+/**
+ * Whisper's cost over its base predictor, one ratio per pair: the
+ * serial time of whisper+TAGE over that of TAGE alone, the two runs
+ * back to back so that both see the same host load.
+ */
+std::vector<double>
+overheadPairs(const BranchTrace &trace, const BranchPredictor &tage,
+              const BranchPredictor &whisper)
+{
+    std::vector<double> ratios;
+    uint64_t firstTage = 0, firstWhisper = 0;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+        uint64_t tageMiss = 0, whisperMiss = 0;
+        double tageSecs, whisperSecs;
+        if (pair % 2 == 0) {
+            tageSecs = timeSerial(trace, tage, tageMiss);
+            whisperSecs = timeSerial(trace, whisper, whisperMiss);
+        } else {
+            whisperSecs = timeSerial(trace, whisper, whisperMiss);
+            tageSecs = timeSerial(trace, tage, tageMiss);
+        }
+        whisper_assert(pair == 0 || (tageMiss == firstTage &&
+                                     whisperMiss == firstWhisper),
+                       "repeated overhead pair diverged");
+        firstTage = tageMiss;
+        firstWhisper = whisperMiss;
+        ratios.push_back(whisperSecs / tageSecs);
+    }
+    return ratios;
 }
 
 /**
@@ -257,11 +303,13 @@ main()
         rows.push_back({label, measurePredictor(trace, proto)});
     };
 
-    runOne("tage64", *makeTage(cfg.tageBudgetKB));
+    auto tage = makeTage(cfg.tageBudgetKB);
+    auto whisper = makeWhisperPredictor(cfg, build);
+    runOne("tage64", *tage);
     runOne("bimodal", BimodalPredictor());
     runOne("gshare", GsharePredictor());
     runOne("perceptron", PerceptronPredictor());
-    runOne("whisper_tage64", *makeWhisperPredictor(cfg, build));
+    runOne("whisper_tage64", *whisper);
 
     TableReporter table("simulator throughput (mysql)");
     table.setHeader({"predictor", "serial Mbr/s", "batched Mbr/s",
@@ -272,18 +320,18 @@ main()
                       r.t.batchedBps / r.t.serialBps});
     table.print();
 
-    // Whisper's cost over its base predictor: serial time per branch
-    // of whisper+TAGE over that of TAGE alone (ROADMAP target 1.10).
-    auto serialBps = [&](const char *name) {
-        for (const auto &r : rows)
-            if (r.name == name)
-                return r.t.serialBps;
-        whisper_panic("no throughput row ", name);
-    };
-    double whisperOverhead =
-        serialBps("tage64") / serialBps("whisper_tage64");
+    // Whisper's cost over its base predictor (ROADMAP target 1.10):
+    // the median of interleaved pairs, so that a burst of host load
+    // lands on both sides of a ratio instead of on one predictor.
+    std::vector<double> pairs = overheadPairs(trace, *tage, *whisper);
+    std::vector<double> sorted = pairs;
+    std::sort(sorted.begin(), sorted.end());
+    double whisperOverhead = sorted[sorted.size() / 2];
     std::printf("whisper overhead (whisper+tage64 / tage64 time):"
-                " %.3f\n", whisperOverhead);
+                " %.3f, median of %zu interleaved pairs"
+                " (range %.3f-%.3f)\n",
+                whisperOverhead, pairs.size(), sorted.front(),
+                sorted.back());
 
     // --- hint-buffer hot path, flat vs pre-refactor legacy ---
     BufScript script = hintBufferScript(trace, build);
@@ -375,6 +423,10 @@ main()
         std::fprintf(f, "  },\n");
         std::fprintf(f, "  \"whisper_overhead\": %.3f,\n",
                      whisperOverhead);
+        std::fprintf(f, "  \"whisper_overhead_pairs\": [");
+        for (size_t i = 0; i < pairs.size(); ++i)
+            std::fprintf(f, "%s%.3f", i ? ", " : "", pairs[i]);
+        std::fprintf(f, "],\n");
         std::fprintf(
             f,
             "  \"hint_buffer\": {\n"

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -25,13 +26,6 @@ struct BitSplit
     }
 
     uint64_t
-    biasMispredicts() const
-    {
-        return std::min(taken[0] + taken[1],
-                        notTaken[0] + notTaken[1]);
-    }
-
-    uint64_t
     splitMispredicts() const
     {
         return std::min(taken[0], notTaken[0]) +
@@ -39,22 +33,78 @@ struct BitSplit
     }
 };
 
-BitSplit
-splitByBit(const HashedSampleTable &table, unsigned bit)
+/**
+ * The split of every key bit of @p table from one pass: folding the
+ * table in half along its top bit leaves that bit's side-1 mass in
+ * the upper half and a table one bit narrower, down to the totals.
+ * Entry b is bit b.
+ */
+std::vector<BitSplit>
+splitAllBits(const HashedSampleTable &table)
 {
-    BitSplit s;
-    for (size_t key = 0; key < table.taken.size(); ++key) {
-        unsigned side = (key >> bit) & 1;
-        s.taken[side] += table.taken[key];
-        s.notTaken[side] += table.notTaken[key];
+    size_t keys = table.taken.size();
+    whisper_assert(isPowerOfTwo(keys), "keys=", keys);
+    std::vector<uint64_t> t(table.taken.begin(), table.taken.end());
+    std::vector<uint64_t> nt(table.notTaken.begin(),
+                             table.notTaken.end());
+    std::vector<BitSplit> splits(
+        static_cast<size_t>(std::countr_zero(keys)));
+    for (size_t b = splits.size(); b-- > 0;) {
+        size_t half = size_t{1} << b;
+        BitSplit &s = splits[b];
+        for (size_t i = 0; i < half; ++i) {
+            s.taken[1] += t[half + i];
+            s.notTaken[1] += nt[half + i];
+            t[i] += t[half + i];
+            nt[i] += nt[half + i];
+        }
     }
-    return s;
+    for (BitSplit &s : splits) {
+        s.taken[0] = t[0] - s.taken[1];
+        s.notTaken[0] = nt[0] - s.notTaken[1];
+    }
+    return splits;
 }
 
 double
 entropyTerm(double p)
 {
     return p > 0.0 ? -p * std::log2(p) : 0.0;
+}
+
+/** Mutual information (bits) between a key bit and the outcome. */
+double
+mutualInformation(const BitSplit &s)
+{
+    double total = static_cast<double>(s.total());
+    if (total == 0.0)
+        return 0.0;
+
+    // I(B; O) = H(O) + H(B) - H(B, O), all in bits.
+    double joint[2][2] = {
+        {s.notTaken[0] / total, s.taken[0] / total},
+        {s.notTaken[1] / total, s.taken[1] / total},
+    };
+    double pBit[2] = {joint[0][0] + joint[0][1],
+                      joint[1][0] + joint[1][1]};
+    double pOut[2] = {joint[0][0] + joint[1][0],
+                      joint[0][1] + joint[1][1]};
+    double mi = entropyTerm(pOut[0]) + entropyTerm(pOut[1]) +
+                entropyTerm(pBit[0]) + entropyTerm(pBit[1]) -
+                entropyTerm(joint[0][0]) - entropyTerm(joint[0][1]) -
+                entropyTerm(joint[1][0]) - entropyTerm(joint[1][1]);
+    return std::max(mi, 0.0);
+}
+
+/** True when the bit decides the outcome of every sample and both
+ * outcomes occur (the never-prune guarantee trigger): a constant
+ * branch is "predicted" by anything. */
+bool
+perfectlyCorrelated(const BitSplit &s)
+{
+    uint64_t taken = s.taken[0] + s.taken[1];
+    uint64_t notTaken = s.notTaken[0] + s.notTaken[1];
+    return taken > 0 && notTaken > 0 && s.splitMispredicts() == 0;
 }
 
 } // namespace
@@ -77,57 +127,6 @@ CorrelationScreen::lengthGain(const HashedSampleTable &table)
     uint64_t oracle = table.oracleMispredicts();
     return static_cast<double>(bias - oracle) /
            static_cast<double>(total);
-}
-
-double
-CorrelationScreen::bitGain(const HashedSampleTable &table, unsigned bit)
-{
-    BitSplit s = splitByBit(table, bit);
-    uint64_t total = s.total();
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(s.biasMispredicts() -
-                               s.splitMispredicts()) /
-           static_cast<double>(total);
-}
-
-double
-CorrelationScreen::bitMutualInformation(const HashedSampleTable &table,
-                                        unsigned bit)
-{
-    BitSplit s = splitByBit(table, bit);
-    double total = static_cast<double>(s.total());
-    if (total == 0.0)
-        return 0.0;
-
-    // I(B; O) = H(O) + H(B) - H(B, O), all in bits.
-    double joint[2][2] = {
-        {s.notTaken[0] / total, s.taken[0] / total},
-        {s.notTaken[1] / total, s.taken[1] / total},
-    };
-    double pBit[2] = {joint[0][0] + joint[0][1],
-                      joint[1][0] + joint[1][1]};
-    double pOut[2] = {joint[0][0] + joint[1][0],
-                      joint[0][1] + joint[1][1]};
-    double mi = entropyTerm(pOut[0]) + entropyTerm(pOut[1]) +
-                entropyTerm(pBit[0]) + entropyTerm(pBit[1]) -
-                entropyTerm(joint[0][0]) - entropyTerm(joint[0][1]) -
-                entropyTerm(joint[1][0]) - entropyTerm(joint[1][1]);
-    return std::max(mi, 0.0);
-}
-
-bool
-CorrelationScreen::bitPerfectlyCorrelated(const HashedSampleTable &table,
-                                          unsigned bit)
-{
-    BitSplit s = splitByBit(table, bit);
-    if (s.total() == 0)
-        return false;
-    // Both outcomes must occur (a constant branch is "predicted"
-    // by anything) and the bit must decide every sample.
-    uint64_t taken = s.taken[0] + s.taken[1];
-    uint64_t notTaken = s.notTaken[0] + s.notTaken[1];
-    return taken > 0 && notTaken > 0 && s.splitMispredicts() == 0;
 }
 
 std::vector<unsigned>
@@ -171,15 +170,15 @@ CorrelationScreen::screenBranch(
         bool perfect;
     };
     std::vector<Scored> scored;
+    std::vector<std::vector<BitSplit>> splits(lengths.size());
     for (unsigned idx : distinctLengthIndices(lengths)) {
         const HashedSampleTable &table = entry.byLength[idx];
         if (table.empty() || table.totalSamples() == 0)
             continue;
         Scored s{idx, lengthGain(table), false};
-        unsigned bits =
-            static_cast<unsigned>(std::countr_zero(table.taken.size()));
-        for (unsigned b = 0; b < bits && !s.perfect; ++b)
-            s.perfect = bitPerfectlyCorrelated(table, b);
+        splits[idx] = splitAllBits(table);
+        for (const BitSplit &split : splits[idx])
+            s.perfect = s.perfect || perfectlyCorrelated(split);
         scored.push_back(s);
     }
     // Stable sort, descending gain, perfect first; ties keep series
@@ -217,13 +216,16 @@ CorrelationScreen::screenBranch(
     bool perfect[8] = {};
     double bestMi = 0.0;
     for (unsigned idx : out.lengthIdx) {
-        const HashedSampleTable &table = entry.byLength[idx];
-        for (unsigned b = 0; b < hashBits; ++b) {
-            mi[b] = std::max(mi[b], bitMutualInformation(table, b));
-            perfect[b] =
-                perfect[b] || bitPerfectlyCorrelated(table, b);
-            bestMi = std::max(bestMi, mi[b]);
+        // A narrower table leaves its missing bits at MI 0.
+        unsigned bits = std::min<unsigned>(
+            hashBits, static_cast<unsigned>(splits[idx].size()));
+        for (unsigned b = 0; b < bits; ++b) {
+            const BitSplit &split = splits[idx][b];
+            mi[b] = std::max(mi[b], mutualInformation(split));
+            perfect[b] = perfect[b] || perfectlyCorrelated(split);
         }
+        for (unsigned b = 0; b < hashBits; ++b)
+            bestMi = std::max(bestMi, mi[b]);
     }
     uint8_t mask = 0;
     for (unsigned b = 0; b < hashBits; ++b)

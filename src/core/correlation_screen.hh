@@ -99,23 +99,6 @@ class CorrelationScreen
     static double lengthGain(const HashedSampleTable &table);
 
     /**
-     * Gain of the best single-bit predictor on input bit @p bit:
-     * (bias - split) mispredictions as a fraction of samples, where
-     * split = min(T,NT) on each side of the bit.
-     */
-    static double bitGain(const HashedSampleTable &table, unsigned bit);
-
-    /** Mutual information (bits) between input bit @p bit of the
-     * hashed key and the branch outcome. */
-    static double bitMutualInformation(const HashedSampleTable &table,
-                                       unsigned bit);
-
-    /** True when @p bit determines the outcome on every sample and
-     * both outcomes occur (the never-prune guarantee trigger). */
-    static bool bitPerfectlyCorrelated(const HashedSampleTable &table,
-                                       unsigned bit);
-
-    /**
      * Indices of the first occurrence of each distinct value of
      * @p lengths, in series order. The "top-K lengths" budget
      * counts distinct lengths through this, so a series with

@@ -1,9 +1,18 @@
 #include "core/formula_trainer.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
+
+// The one function built for POPCNT; callers reach it only after
+// the run-time CPU check, so the binary still runs on any x86-64.
+#if defined(__x86_64__) || defined(__i386__)
+#define WHISPER_TARGET_POPCNT [[gnu::target("popcnt")]]
+#else
+#define WHISPER_TARGET_POPCNT
+#endif
 
 namespace whisper
 {
@@ -89,15 +98,144 @@ scoreFormula(const TruthTable &tt, const HashedSampleTable &samples,
     return t;
 }
 
+namespace
+{
+
+bool
+detectPopcnt()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt");
+#else
+    // Elsewhere __builtin_popcountll is the ISA's own count.
+    return true;
+#endif
+}
+
+/** Per-byte bit counts of @p x (0..8 each): the SWAR popcount
+ * without its final horizontal sum. */
+inline uint64_t
+byteCounts(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) +
+        ((x >> 2) & 0x3333333333333333ULL);
+    return (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+}
+
+/**
+ * Total set bits of four words. The hardware form becomes four
+ * POPCNTs once inlined into a POPCNT-enabled function; the generic
+ * form adds the words' byte counts (at most 32 per byte), widens
+ * them to 16-bit lanes (the total can be 256) and sums the lanes
+ * with one multiply.
+ */
+template <bool Hw>
+[[gnu::always_inline]] inline uint64_t
+countWords(uint64_t a, uint64_t b, uint64_t c, uint64_t d)
+{
+    if constexpr (Hw) {
+        return static_cast<uint64_t>(
+            __builtin_popcountll(a) + __builtin_popcountll(b) +
+            __builtin_popcountll(c) + __builtin_popcountll(d));
+    } else {
+        uint64_t bytes = byteCounts(a) + byteCounts(b) +
+                         byteCounts(c) + byteCounts(d);
+        uint64_t lanes = (bytes & 0x00FF00FF00FF00FFULL) +
+                         ((bytes >> 8) & 0x00FF00FF00FF00FFULL);
+        return (lanes * 0x0001000100010001ULL) >> 48;
+    }
+}
+
+/** sum_b 2^b * popcount(tt & planes[b]) over @p count planes, reading
+ * the first @p Words words of each. */
+template <bool Hw, unsigned Words>
+[[gnu::always_inline]] inline uint64_t
+weightedCount(const TruthTable &tt, const TruthTable *planes,
+              unsigned count)
+{
+    const uint64_t t0 = tt[0];
+    const uint64_t t1 = Words > 1 ? tt[1] : 0;
+    const uint64_t t2 = Words > 1 ? tt[2] : 0;
+    const uint64_t t3 = Words > 1 ? tt[3] : 0;
+    // Horner's rule from the top plane down: no variable shifts.
+    uint64_t sum = 0;
+    for (unsigned b = count; b-- > 0;) {
+        const TruthTable &p = planes[b];
+        sum = 2 * sum + countWords<Hw>(t0 & p[0], t1 & p[1],
+                                       t2 & p[2], t3 & p[3]);
+    }
+    return sum;
+}
+
+/** The body both score paths inline; the result wraps mod 2^64 on
+ * the way but ends at the true (non-negative) count. */
+template <bool Hw>
+[[gnu::always_inline]] inline uint64_t
+planeScore(uint64_t base, unsigned words, const TruthTable &tt,
+           const TruthTable *pos, unsigned posPlanes,
+           const TruthTable *neg, unsigned negPlanes)
+{
+    if (words == 1)
+        return base + weightedCount<Hw, 1>(tt, pos, posPlanes) -
+               weightedCount<Hw, 1>(tt, neg, negPlanes);
+    return base + weightedCount<Hw, 4>(tt, pos, posPlanes) -
+           weightedCount<Hw, 4>(tt, neg, negPlanes);
+}
+
+} // namespace
+
+const bool SamplePlanes::kHasPopcnt = detectPopcnt();
+
+SamplePlanes::SamplePlanes(const HashedSampleTable &samples)
+{
+    size_t keys = samples.taken.size();
+    whisper_assert(keys <= 256 && samples.notTaken.size() == keys,
+                   "keys=", keys);
+    words_ = keys <= 64 ? 1 : 4;
+    for (size_t k = 0; k < keys; ++k) {
+        uint32_t t = samples.taken[k];
+        uint32_t nt = samples.notTaken[k];
+        base_ += t;
+        bool positive = nt > t;
+        uint32_t mag = positive ? nt - t : t - nt;
+        auto &planes = positive ? pos_ : neg_;
+        unsigned &used = positive ? posPlanes_ : negPlanes_;
+        uint64_t bit = 1ULL << (k % 64);
+        for (uint32_t m = mag; m != 0; m &= m - 1)
+            planes[std::countr_zero(m)][k / 64] |= bit;
+        used = std::max(used,
+                        static_cast<unsigned>(std::bit_width(mag)));
+    }
+}
+
+uint64_t
+SamplePlanes::scoreGeneric(const TruthTable &tt) const
+{
+    return planeScore<false>(base_, words_, tt, pos_.data(), posPlanes_,
+                             neg_.data(), negPlanes_);
+}
+
+WHISPER_TARGET_POPCNT uint64_t
+SamplePlanes::scorePopcnt(const TruthTable &tt) const
+{
+    return planeScore<true>(base_, words_, tt, pos_.data(), posPlanes_,
+                            neg_.data(), negPlanes_);
+}
+
 FormulaSearchResult
 findBooleanFormula(const HashedSampleTable &samples,
                    const std::vector<uint16_t> &candidates,
                    const TruthTableCache &cache)
 {
+    // Every candidate is scored in full: with exact scores, the
+    // strict < keeps the first of equal formulas, as scoreFormula's
+    // early-out loop did.
+    const SamplePlanes planes(samples);
     FormulaSearchResult best;
     for (uint16_t enc : candidates) {
-        uint64_t t = scoreFormula(cache.table(enc), samples,
-                                  best.mispredicts);
+        uint64_t t = planes.score(cache.table(enc));
         ++best.explored;
         if (t < best.mispredicts) {
             best.mispredicts = t;

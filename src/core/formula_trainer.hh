@@ -108,10 +108,60 @@ struct FormulaSearchResult
  *
  * @param earlyOut stop early once the count exceeds this bound
  *        (pass ~0 to disable).
+ *
+ * The scalar reference: SamplePlanes gives the same counts faster
+ * and is what the trainers use.
  */
 uint64_t scoreFormula(const TruthTable &tt,
                       const HashedSampleTable &samples,
                       uint64_t earlyOut = ~0ULL);
+
+/**
+ * A sample table in bit-sliced form, built once and then used to
+ * score many formulas (the fast form of scoreFormula).
+ *
+ * A formula's mispredictions are linear in its truth-table bits:
+ * score = sum_k taken[k] + sum_{k : tt[k] = 1} d[k], where
+ * d = notTaken - taken. The constructor splits d into its positive
+ * and negative parts and stores bit b of each part as a 256-bit
+ * plane (P_b, N_b), so a score is
+ *
+ *     base + sum_b 2^b * (popcount(tt & P_b) - popcount(tt & N_b)).
+ *
+ * Keys the table does not have get no plane bits: a 16-key table
+ * reads only the low 16 truth-table bits, as scoreFormula does.
+ * Every path returns exactly scoreFormula(tt, samples, ~0ULL).
+ */
+class SamplePlanes
+{
+  public:
+    explicit SamplePlanes(const HashedSampleTable &samples);
+
+    /** Exact score; uses the POPCNT instruction when the CPU has it. */
+    uint64_t
+    score(const TruthTable &tt) const
+    {
+        return hasPopcnt() ? scorePopcnt(tt) : scoreGeneric(tt);
+    }
+
+    /** Exact score through a portable popcount (any CPU). */
+    uint64_t scoreGeneric(const TruthTable &tt) const;
+    /** Exact score through POPCNT; call only when hasPopcnt(). */
+    uint64_t scorePopcnt(const TruthTable &tt) const;
+
+    /** True when this CPU executes the POPCNT instruction. */
+    static bool hasPopcnt() { return kHasPopcnt; }
+
+  private:
+    static const bool kHasPopcnt;
+
+    uint64_t base_ = 0;     //!< sum of taken: the empty formula's score
+    unsigned words_ = 0;    //!< truth-table words the keys span (1 or 4)
+    unsigned posPlanes_ = 0; //!< bit length of max(d)
+    unsigned negPlanes_ = 0; //!< bit length of max(-d)
+    std::array<TruthTable, 32> pos_{};
+    std::array<TruthTable, 32> neg_{};
+};
 
 /**
  * Algorithm 1: pick the candidate formula with the fewest

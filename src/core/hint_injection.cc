@@ -1,9 +1,9 @@
 #include "core/hint_injection.hh"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
+#include <cstdint>
 
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -18,40 +18,133 @@ HintInjector::HintInjector(const Config &cfg) : cfg_(cfg)
     whisper_assert(cfg.window >= 1);
 }
 
+namespace
+{
+
+/**
+ * Open-addressing map from PC to its execution count and, for a
+ * hinted branch, the index of its statistics; probed once per
+ * training record. Linear probing over a power-of-two array that
+ * doubles at half load; slots are never removed.
+ */
+class PcTable
+{
+  public:
+    static constexpr uint32_t kNoHint = UINT32_MAX;
+
+    struct Slot
+    {
+        uint64_t pc = 0;
+        uint64_t executions = 0;
+        uint32_t hint = kNoHint;
+        bool used = false;
+    };
+
+    PcTable() : slots_(1024) {}
+
+    /** The slot of @p pc; a fresh one if it has none yet. */
+    Slot &
+    insert(uint64_t pc)
+    {
+        if (2 * (size_ + 1) > slots_.size())
+            grow();
+        Slot &s = slots_[probe(pc)];
+        if (!s.used) {
+            s.used = true;
+            s.pc = pc;
+            ++size_;
+        }
+        return s;
+    }
+
+    /** Executions of @p pc; 0 when it never ran. */
+    uint64_t executions(uint64_t pc) const
+    {
+        return slots_[probe(pc)].executions;
+    }
+
+    /** @p pc's hint index, or kNoHint. */
+    uint32_t hint(uint64_t pc) const { return slots_[probe(pc)].hint; }
+
+  private:
+    /** Index of @p pc's slot, or of the empty slot where it goes. */
+    size_t
+    probe(uint64_t pc) const
+    {
+        size_t mask = slots_.size() - 1;
+        for (size_t i = mix64(pc) & mask;; i = (i + 1) & mask) {
+            const Slot &s = slots_[i];
+            if (!s.used || s.pc == pc)
+                return i;
+        }
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        for (const Slot &s : old)
+            if (s.used)
+                slots_[probe(s.pc)] = s;
+    }
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+};
+
+} // namespace
+
 std::vector<HintPlacement>
 HintInjector::place(BranchSource &trace,
                     const std::vector<TrainedHint> &hints) const
 {
-    std::unordered_set<uint64_t> hinted;
-    for (const auto &h : hints)
-        hinted.insert(h.pc);
+    // Per hinted branch: its conditional executions and
+    // cooccur[pred] = executions with pred in the preceding window
+    // (each pred counted once per branch execution). The inner map's
+    // iteration order breaks score ties between predecessors below,
+    // so it is filled in the same order as ever: window order, first
+    // occurrence only.
+    struct BranchStats
+    {
+        uint64_t executions = 0;
+        std::unordered_map<uint64_t, uint64_t> cooccur;
+    };
+    std::vector<BranchStats> branches;
+    PcTable pcs;
+    for (const auto &h : hints) {
+        PcTable::Slot &slot = pcs.insert(h.pc);
+        if (slot.hint == PcTable::kNoHint) {
+            slot.hint = static_cast<uint32_t>(branches.size());
+            branches.emplace_back();
+        }
+    }
 
-    // cooccur[branch][pred] = branch executions with pred in the
-    // preceding window (each pred counted once per branch execution).
-    std::unordered_map<uint64_t,
-                       std::unordered_map<uint64_t, uint64_t>>
-        cooccur;
-    std::unordered_map<uint64_t, uint64_t> execCount;
-    std::unordered_map<uint64_t, uint64_t> branchExec;
+    // The window is the last cfg_.window PCs of `recent`, oldest
+    // first; `recent` drops all but those when it reaches twice that.
+    const size_t window = cfg_.window;
+    std::vector<uint64_t> recent;
+    recent.reserve(2 * window);
 
     trace.rewind();
-    std::deque<uint64_t> window;
     BranchRecord rec;
-    std::unordered_set<uint64_t> seen;
     while (trace.next(rec)) {
-        ++execCount[rec.pc];
-        if (rec.isConditional() && hinted.count(rec.pc)) {
-            ++branchExec[rec.pc];
-            auto &preds = cooccur[rec.pc];
-            seen.clear();
-            for (uint64_t p : window) {
-                if (seen.insert(p).second)
-                    ++preds[p];
+        PcTable::Slot &slot = pcs.insert(rec.pc);
+        ++slot.executions;
+        if (slot.hint != PcTable::kNoHint && rec.isConditional()) {
+            BranchStats &b = branches[slot.hint];
+            ++b.executions;
+            size_t n = std::min(recent.size(), window);
+            const uint64_t *win = recent.data() + recent.size() - n;
+            for (size_t i = 0; i < n; ++i) {
+                if (std::find(win, win + i, win[i]) == win + i)
+                    ++b.cooccur[win[i]];
             }
         }
-        window.push_back(rec.pc);
-        if (window.size() > cfg_.window)
-            window.pop_front();
+        if (recent.size() == 2 * window)
+            recent.erase(recent.begin(),
+                         recent.begin() + static_cast<long>(window));
+        recent.push_back(rec.pc);
     }
 
     std::vector<HintPlacement> placements;
@@ -60,11 +153,11 @@ HintInjector::place(BranchSource &trace,
         HintPlacement pl;
         pl.branchPc = h.pc;
 
-        uint64_t execs = branchExec[h.pc];
+        const BranchStats &b = branches[pcs.hint(h.pc)];
+        uint64_t execs = b.executions;
         double bestScore = -1.0;
-        const auto it = cooccur.find(h.pc);
-        if (it != cooccur.end() && execs > 0) {
-            for (const auto &[pred, count] : it->second) {
+        if (execs > 0) {
+            for (const auto &[pred, count] : b.cooccur) {
                 double coverage =
                     static_cast<double>(count) / execs;
                 // A branch may execute several times inside one
@@ -72,7 +165,7 @@ HintInjector::place(BranchSource &trace,
                 // probability.
                 double precision = std::min(
                     1.0,
-                    static_cast<double>(count) / execCount[pred]);
+                    static_cast<double>(count) / pcs.executions(pred));
                 // Conditional-probability score: a good predecessor
                 // covers the branch and rarely fires spuriously.
                 double score = coverage * precision;
@@ -92,7 +185,7 @@ HintInjector::place(BranchSource &trace,
             pl.coverage = 1.0;
             pl.precision = 1.0;
         }
-        pl.predecessorExecutions = execCount[pl.predecessorPc];
+        pl.predecessorExecutions = pcs.executions(pl.predecessorPc);
         placements.push_back(pl);
     }
     return placements;

@@ -46,9 +46,9 @@ RombfTrainer::train(const BranchProfile &profile,
         hint.biasTaken = entry->takenCount >= entry->notTakenCount();
 
         if (samples.totalSamples() > 0) {
+            const SamplePlanes planes(samples);
             for (size_t i = 0; i < enum_.tables.size(); ++i) {
-                uint64_t t =
-                    scoreFormula(enum_.tables[i], samples, best);
+                uint64_t t = planes.score(enum_.tables[i]);
                 ++local.formulasScored;
                 if (t < best) {
                     best = t;

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "bp/simple_predictors.hh"
 #include "core/brhint.hh"
@@ -160,6 +164,128 @@ TEST(HintInjection, FallbackToSelf)
     auto placements = injector.place(src, {hint});
     ASSERT_EQ(placements.size(), 1u);
     EXPECT_EQ(placements[0].predecessorPc, 0xDEADu);
+}
+
+namespace
+{
+
+/** Placement as first written, with node-based hash containers: the
+ * reference the flat-table pass must match placement for placement,
+ * including which of two equally scored predecessors wins (the
+ * co-occurrence map's iteration order). */
+std::vector<HintPlacement>
+referencePlacements(BranchSource &trace,
+                    const std::vector<TrainedHint> &hints,
+                    const HintInjector::Config &cfg)
+{
+    std::unordered_set<uint64_t> hinted;
+    for (const auto &h : hints)
+        hinted.insert(h.pc);
+    std::unordered_map<uint64_t,
+                       std::unordered_map<uint64_t, uint64_t>>
+        cooccur;
+    std::unordered_map<uint64_t, uint64_t> execCount, branchExec;
+    trace.rewind();
+    std::deque<uint64_t> window;
+    std::unordered_set<uint64_t> seen;
+    BranchRecord rec;
+    while (trace.next(rec)) {
+        ++execCount[rec.pc];
+        if (rec.isConditional() && hinted.count(rec.pc)) {
+            ++branchExec[rec.pc];
+            auto &preds = cooccur[rec.pc];
+            seen.clear();
+            for (uint64_t p : window)
+                if (seen.insert(p).second)
+                    ++preds[p];
+        }
+        window.push_back(rec.pc);
+        if (window.size() > cfg.window)
+            window.pop_front();
+    }
+    std::vector<HintPlacement> out;
+    for (const auto &h : hints) {
+        HintPlacement pl;
+        pl.branchPc = h.pc;
+        uint64_t execs = branchExec[h.pc];
+        double bestScore = -1.0;
+        auto it = cooccur.find(h.pc);
+        if (it != cooccur.end() && execs > 0) {
+            for (const auto &[pred, count] : it->second) {
+                double coverage = static_cast<double>(count) / execs;
+                double precision = std::min(
+                    1.0, static_cast<double>(count) / execCount[pred]);
+                double score = coverage * precision;
+                if (coverage >= cfg.minCoverage && score > bestScore) {
+                    bestScore = score;
+                    pl.predecessorPc = pred;
+                    pl.coverage = coverage;
+                    pl.precision = precision;
+                }
+            }
+        }
+        if (bestScore < 0.0) {
+            pl.predecessorPc = h.pc;
+            pl.coverage = 1.0;
+            pl.precision = 1.0;
+        }
+        pl.predecessorExecutions = execCount[pl.predecessorPc];
+        out.push_back(pl);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(HintInjection, MatchesReferencePlacement)
+{
+    // Enough distinct PCs to grow the flat table several times, PC 0,
+    // repeated PCs inside one window, a duplicated hint, a hint that
+    // never executes, and a hinted non-conditional.
+    Rng rng(4242);
+    BranchTrace trace("t", 0);
+    for (int i = 0; i < 60000; ++i) {
+        BranchRecord r;
+        uint64_t site = rng.nextBool(0.7) ? rng.nextBelow(40)
+                                          : rng.nextBelow(6000);
+        r.pc = site * 16;
+        r.kind = site % 7 == 3 ? BranchKind::Call
+                               : BranchKind::Conditional;
+        r.taken = rng.nextBool(0.5);
+        r.target = r.pc + 64;
+        trace.append(r);
+    }
+    std::vector<TrainedHint> hints;
+    for (uint64_t pc : {0ull, 16ull, 48ull, 160ull, 16ull * 5999,
+                        0xDEAD0ull, 48ull, 16ull * 3}) {
+        TrainedHint h;
+        h.pc = pc;
+        hints.push_back(h);
+    }
+    // A fixed loop of five blocks before hinted branch 160: every
+    // block scores the same, so the map's order alone picks the one
+    // placed.
+    BranchTrace ties("ties", 0);
+    for (int i = 0; i < 500; ++i) {
+        for (uint64_t pc : {4096ull, 4112ull, 4128ull, 4144ull, 4160ull,
+                            160ull}) {
+            BranchRecord r;
+            r.pc = pc;
+            r.kind = BranchKind::Conditional;
+            ties.append(r);
+        }
+    }
+    for (const BranchTrace *t : {&trace, &ties}) {
+        for (unsigned window : {1u, 4u, 16u, 33u}) {
+            HintInjector::Config cfg;
+            cfg.window = window;
+            cfg.minCoverage = window < 4 ? 0.05 : 0.30;
+            TraceSource a(*t), b(*t);
+            EXPECT_EQ(HintInjector(cfg).place(a, hints),
+                      referencePlacements(b, hints, cfg))
+                << t->app() << " window " << window;
+        }
+    }
 }
 
 TEST(HintInjection, OverheadAccounting)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 
 #include "core/correlation_screen.hh"
@@ -14,6 +16,7 @@
 #include "core/formula_gates.hh"
 #include "core/formula_trainer.hh"
 #include "core/history_hash.hh"
+#include "rombf/rombf_formula.hh"
 #include "util/rng.hh"
 
 using namespace whisper;
@@ -342,6 +345,216 @@ TEST(FindBooleanFormula, RandomizedSubsetIsNearOptimal)
     // history lengths and the bias fallback per branch).
     EXPECT_LE(randomized.mispredicts, 2 * exhaustive.mispredicts);
     EXPECT_GT(exhaustive.mispredicts, 0u); // noise floor exists
+}
+
+// ---------------------------------------------------------------
+// Bit-sliced scoring (SamplePlanes) against the scalar reference.
+// These suites are registered under the ctest prefix "formula.".
+// Both popcount paths are checked against scoreFormula with no
+// early-out; the generic path runs on every host, the POPCNT path
+// wherever the CPU has the instruction.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** True when the POPCNT path can run; says so once when it cannot. */
+bool
+popcntPathRuns()
+{
+    static const bool runs = [] {
+        if (!SamplePlanes::hasPopcnt())
+            std::printf("[   NOTE   ] this CPU has no POPCNT: only "
+                        "the generic scoring path is checked\n");
+        return SamplePlanes::hasPopcnt();
+    }();
+    return runs;
+}
+
+/** Every scoring path of @p planes must equal the scalar loop. */
+void
+expectExactScores(const HashedSampleTable &t, const SamplePlanes &planes,
+                  const TruthTable &tt)
+{
+    uint64_t want = scoreFormula(tt, t, ~0ULL);
+    EXPECT_EQ(planes.scoreGeneric(tt), want);
+    if (popcntPathRuns()) {
+        EXPECT_EQ(planes.scorePopcnt(tt), want);
+    }
+    EXPECT_EQ(planes.score(tt), want);
+}
+
+TruthTable
+randomTruthTable(Rng &rng)
+{
+    return {rng.next(), rng.next(), rng.next(), rng.next()};
+}
+
+/** A table whose counts are each nonzero with probability @p density
+ * and drawn below @p bound (bound 0 means any 32-bit value). */
+HashedSampleTable
+randomTable(Rng &rng, unsigned keyBits, double density, uint64_t bound)
+{
+    HashedSampleTable t(keyBits);
+    auto draw = [&]() -> uint32_t {
+        if (!rng.nextBool(density))
+            return 0;
+        return static_cast<uint32_t>(bound ? rng.nextBelow(bound)
+                                           : rng.next());
+    };
+    for (size_t k = 0; k < t.taken.size(); ++k) {
+        t.taken[k] = draw();
+        t.notTaken[k] = draw();
+    }
+    return t;
+}
+
+/** The search findBooleanFormula did before bit-slicing: the scalar
+ * score with its early-out at the best count so far. */
+FormulaSearchResult
+scalarSearch(const HashedSampleTable &t,
+             const std::vector<uint16_t> &candidates,
+             const TruthTableCache &cache)
+{
+    FormulaSearchResult best;
+    for (uint16_t enc : candidates) {
+        uint64_t m = scoreFormula(cache.table(enc), t, best.mispredicts);
+        ++best.explored;
+        if (m < best.mispredicts) {
+            best.mispredicts = m;
+            best.formula = BoolFormula(enc, cache.numInputs());
+            best.valid = true;
+        }
+        if (best.mispredicts == 0)
+            break;
+    }
+    return best;
+}
+
+} // namespace
+
+TEST(BitSlicedScore, SeededRandomTablesMatchScalar)
+{
+    TruthTableCache cache(8);
+    Rng rng(1601);
+    struct Shape
+    {
+        double density;
+        uint64_t bound;
+    };
+    const Shape shapes[] = {
+        {0.05, 20},      // sparse, small counts
+        {1.0, 64},       // dense, small counts
+        {0.5, 1 << 20},  // mid-size counts
+        {1.0, 0},        // dense, any 32-bit count
+    };
+    for (const Shape &shape : shapes) {
+        for (int trial = 0; trial < 8; ++trial) {
+            HashedSampleTable t =
+                randomTable(rng, 8, shape.density, shape.bound);
+            SamplePlanes planes(t);
+            for (int i = 0; i < 64; ++i) {
+                expectExactScores(
+                    t, planes,
+                    cache.table(static_cast<uint16_t>(
+                        rng.nextBelow(32768))));
+                expectExactScores(t, planes, randomTruthTable(rng));
+            }
+        }
+    }
+}
+
+TEST(BitSlicedScore, EdgeTablesMatchScalar)
+{
+    const uint32_t kMax = UINT32_MAX;
+    std::vector<HashedSampleTable> tables;
+    tables.emplace_back(8); // all zero
+    HashedSampleTable takenMax(8), notTakenMax(8), bothMax(8),
+        alternating(8), single(8);
+    for (unsigned k = 0; k < 256; ++k) {
+        takenMax.taken[k] = kMax;
+        notTakenMax.notTaken[k] = kMax;
+        bothMax.taken[k] = kMax;
+        bothMax.notTaken[k] = kMax;
+        (k % 2 ? alternating.taken : alternating.notTaken)[k] = kMax;
+    }
+    single.notTaken[255] = kMax;
+    single.taken[0] = 1;
+    tables.insert(tables.end(),
+                  {takenMax, notTakenMax, bothMax, alternating, single});
+
+    Rng rng(1602);
+    std::vector<TruthTable> tts = {
+        {0, 0, 0, 0},
+        {~0ULL, ~0ULL, ~0ULL, ~0ULL},
+        {0x5555555555555555ULL, 0xAAAAAAAAAAAAAAAAULL, 1ULL << 63, 1},
+    };
+    for (int i = 0; i < 16; ++i)
+        tts.push_back(randomTruthTable(rng));
+    for (const HashedSampleTable &t : tables) {
+        SamplePlanes planes(t);
+        for (const TruthTable &tt : tts)
+            expectExactScores(t, planes, tt);
+    }
+    // All-zero table: every formula scores 0.
+    SamplePlanes empty(tables[0]);
+    EXPECT_EQ(empty.scoreGeneric(tts[1]), 0u);
+}
+
+TEST(BitSlicedScore, RombfSixteenKeyTablesMatchScalar)
+{
+    // ROMBF's 4-bit variant scores raw4 tables: 16 keys, so only the
+    // low 16 truth-table bits may count, whatever the rest hold.
+    RombfEnumeration e = enumerateRombf(4, /*dedupe=*/false);
+    Rng rng(1603);
+    for (uint64_t bound : {uint64_t{8}, uint64_t{1} << 16, uint64_t{0}}) {
+        for (int trial = 0; trial < 6; ++trial) {
+            HashedSampleTable t = randomTable(rng, 4, 0.7, bound);
+            SamplePlanes planes(t);
+            for (const TruthTable &tt : e.tables)
+                expectExactScores(t, planes, tt);
+            for (int i = 0; i < 32; ++i)
+                expectExactScores(t, planes, randomTruthTable(rng));
+        }
+    }
+}
+
+TEST(BitSlicedSearch, FindBooleanFormulaMatchesScalarLoop)
+{
+    // Same formula, score and explored count as the early-out scalar
+    // loop, at the paper's 0.1% point, at 1% and exhaustively; the
+    // planted noise-free tables exercise the stop at zero.
+    TruthTableCache cache(8);
+    FormulaCandidates c(8, 1.0, 77);
+    Rng rng(1604);
+    std::vector<HashedSampleTable> tables;
+    for (int i = 0; i < 3; ++i)
+        tables.push_back(randomTable(rng, 8, 0.3, 40));
+    for (int i = 0; i < 3; ++i) {
+        BoolFormula planted(
+            static_cast<uint16_t>(rng.nextBelow(32768)), 8);
+        HashedSampleTable t(8);
+        for (unsigned k = 0; k < 256; ++k) {
+            bool taken = planted.evaluate(static_cast<uint8_t>(k));
+            if (i > 0 && rng.nextBool(0.05))
+                taken = !taken; // noisy copies keep searching
+            (taken ? t.taken : t.notTaken)[k] =
+                static_cast<uint32_t>(1 + rng.nextBelow(30));
+        }
+        tables.push_back(t);
+    }
+    for (double fraction : {0.001, 0.01, 1.0}) {
+        std::vector<uint16_t> encs = c.withFraction(fraction);
+        for (const HashedSampleTable &t : tables) {
+            FormulaSearchResult fast = findBooleanFormula(t, encs, cache);
+            FormulaSearchResult ref = scalarSearch(t, encs, cache);
+            ASSERT_EQ(fast.valid, ref.valid);
+            EXPECT_EQ(fast.formula.encoding(), ref.formula.encoding())
+                << "fraction " << fraction;
+            EXPECT_EQ(fast.mispredicts, ref.mispredicts);
+            EXPECT_EQ(fast.explored, ref.explored);
+        }
+    }
 }
 
 // ---------------------------------------------------------------
